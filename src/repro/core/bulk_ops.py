@@ -344,15 +344,22 @@ def bd_heap_sorted_rids(
     sorted_rids: Sequence[RID],
     disk: SimulatedDisk,
     compact: bool = False,
+    on_page_deletes: Optional[
+        Callable[[List[Tuple[RID, bytes]]], None]
+    ] = None,
 ) -> Tuple[List[Row], BdResult]:
     """Delete RID-sorted records from the base table (one sweep).
 
     Returns the deleted records' decoded values together with their
     RIDs — the projections feeding the remaining per-index ``bd``
-    operators come from here.
+    operators come from here.  ``on_page_deletes`` is the heap's WAL
+    hook, the counterpart of ``on_removed`` on the index sweep: it sees
+    each page's ``(RID, payload)`` victims before the page changes.
     """
     result = BdResult(structure=table.name)
-    raw = table.heap.delete_many_sorted(sorted_rids, compact_pages=compact)
+    raw = table.heap.delete_many_sorted(
+        sorted_rids, compact_pages=compact, on_page_deletes=on_page_deletes
+    )
     disk.charge_cpu_records(len(raw))
     rows: List[Row] = [
         (rid, table.serializer.unpack(payload)) for rid, payload in raw

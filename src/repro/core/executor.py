@@ -1,10 +1,11 @@
 """Execution of vertical bulk-delete plans.
 
-``execute_plan`` walks the steps of a :class:`BulkDeletePlan` and wires
-the ``bd`` primitives together exactly like the paper's Figure 3/4/5
-DAGs: the driving index turns sorted delete keys into a RID list, the
-RID list (sorted, hashed, or partitioned) drives the base table and the
-remaining indexes, and each structure is touched once, vertically.
+``execute_plan`` walks the stage list of a :class:`BulkDeletePlan`
+(:mod:`repro.core.stages` — the paper's Figure 3/4/5 DAGs: the driving
+index turns sorted delete keys into a RID list, the RID list drives
+the base table and the remaining indexes, each structure touched once,
+vertically), serially or with the stages after the RID-list barrier
+handed to lane regions.
 
 ``bulk_delete`` is the one-call public entry point: it plans (or takes
 a caller-supplied plan) and executes, falling back to the traditional
@@ -13,45 +14,41 @@ executor when the planner decides record-at-a-time is cheaper.
 
 from __future__ import annotations
 
-import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.catalog.catalog import IndexInfo, TableInfo
 from repro.catalog.database import Database
-from repro.core.bulk_ops import (
-    BdResult,
-    bd_heap_hash_probe,
-    bd_heap_sorted_rids,
-    bd_index_hash_probe,
-    bd_index_partitioned,
-    bd_index_sort_merge,
+from repro.catalog.statistics import (
+    TableStatistics,
+    collect_table_statistics,
 )
+from repro.core.bulk_ops import BdResult
 from repro.core.planner import choose_plan
-from repro.core.plans import (
-    BdMethod,
-    BdPredicate,
-    BulkDeletePlan,
-    StepPlan,
+from repro.core.plans import BdMethod, BulkDeletePlan
+from repro.core.stages import (
+    DRIVING,
+    HASH_INDEX,
+    KEY_SORT,
+    POST_TABLE,
+    PRE_TABLE,
+    RID_SORT,
+    TABLE,
+    Pipe,
+    Stage,
+    vertical_stages,
 )
-from repro.catalog.statistics import collect_table_statistics
 from repro.errors import PlanningError, PlanValidationError
 from repro.obs.trace import maybe_span
 from repro.parallel import DEDICATED, LaneScheduler, LaneTask
-from repro.query.hashtable import BoundedHashSet, HashTableOverflowError
-from repro.query.sort import ExternalSorter
 from repro.storage.disk import DiskStats
-from repro.storage.rid import RID
 
-Row = Tuple[RID, Tuple[object, ...]]
+#: The lane regions after the RID-list barrier: the RID consumers, then
+#: the row consumers.  Stages of one region never share a structure.
+_REGIONS = (
+    ("pre-table", (PRE_TABLE, TABLE)),
+    ("index-maintenance", (POST_TABLE, HASH_INDEX)),
+)
 
 
 @dataclass
@@ -168,203 +165,16 @@ def execute_plan(
     *before* the executor charges any simulated I/O for it.
 
     ``options.media`` attaches a media recovery layer to the buffer
-    pool for the statement's duration (detached again even when the
-    statement fails).
+    pool for the statement's duration (the previous attachment is back
+    afterwards, even when the statement fails).
     """
     options = options or BulkDeleteOptions()
-    if options.media is None:
-        return _execute(db, plan, keys, options, validate)
-    db.pool.media = options.media
-    try:
-        return _execute(db, plan, keys, options, validate)
-    finally:
-        db.pool.media = None
-
-
-def _execute(
-    db: Database,
-    plan: BulkDeletePlan,
-    keys: Sequence[int],
-    options: BulkDeleteOptions,
-    validate: bool,
-) -> BulkDeleteResult:
-    table = db.table(plan.table_name)
-    if plan.table_step().method is BdMethod.NESTED_LOOPS:
-        raise PlanningError(
-            "horizontal plans are executed by repro.core.traditional; "
-            "use bulk_delete() for automatic dispatch"
-        )
-    if validate:
-        validate_plan(db, plan)
-    start_ms = db.clock.now_ms
-    io_before = db.disk.stats.snapshot()
-    result = BulkDeleteResult(plan=plan)
-    obs = db.obs
-
-    with maybe_span(
-        obs,
-        f"bulk-delete {plan.table_name}",
-        kind="delete",
-        target=plan.table_name,
-        n_keys=len(keys),
-    ) as root:
-        # --- delete keys, sorted once, drive the first bd -------------
-        with maybe_span(
-            obs, "sort(delete keys)", kind="sort", target="D"
-        ) as sort_span:
-            sorter = ExternalSorter(db.disk, db.memory_bytes, width=1)
-            sorted_keys = [k for (k,) in sorter.sort((k,) for k in keys)]
-            sort_span.set(
-                tuples=sorter.stats.input_tuples,
-                runs=sorter.stats.runs,
-                spilled=sorter.stats.spilled,
-            )
-
-        rid_list, driving_result = _produce_rid_list(
-            db, table, plan, sorted_keys, options
-        )
-        if driving_result is not None:
-            result.step_results.append(driving_result)
-
-        # --- RID ordering for the base-table sweep --------------------
-        if plan.sort_rid_list:
-            with maybe_span(
-                obs, "sort(RID)", kind="sort", target=plan.table_name
-            ) as sort_span:
-                rid_sorter = ExternalSorter(db.disk, db.memory_bytes, width=1)
-                rid_list = [
-                    r for (r,) in rid_sorter.sort((r,) for r in rid_list)
-                ]
-                sort_span.set(
-                    tuples=rid_sorter.stats.input_tuples,
-                    runs=rid_sorter.stats.runs,
-                    spilled=rid_sorter.stats.spilled,
-                )
-
+    with _statement(db, plan, keys, options, validate) as (stages, result):
         if options.lanes == 1:
-            rows = _serial_branches(
-                db, table, plan, rid_list, options, result
-            )
+            _walk(stages, result)
         else:
-            rows = _execute_parallel(
-                db, table, plan, rid_list, options, result
-            )
-
-        if options.reclaim_heap_pages:
-            with maybe_span(
-                obs,
-                f"reclaim({plan.table_name})",
-                kind="maintenance",
-                target=plan.table_name,
-            ) as span:
-                result.heap_pages_reclaimed = (
-                    table.heap.reclaim_empty_pages()
-                )
-                span.set(pages_reclaimed=result.heap_pages_reclaimed)
-        if options.flush_at_end:
-            with maybe_span(obs, "flush", kind="flush"):
-                db.flush()
-        root.set(records_deleted=result.records_deleted)
-    result.elapsed_ms = db.clock.now_ms - start_ms
-    result.io = db.disk.stats.delta_since(io_before)
-    result.trace = getattr(root, "span", None)
+            _walk_lanes(db, stages, options, result)
     return result
-
-
-def _serial_branches(
-    db: Database,
-    table: TableInfo,
-    plan: BulkDeletePlan,
-    rid_list: List[int],
-    options: BulkDeleteOptions,
-    result: BulkDeleteResult,
-) -> List[Row]:
-    """Strictly serial single-disk execution of every plan branch after
-    the RID-list barrier — the paper's testbed.  This is the original
-    executor body, untouched, so its simulated times stay bit-identical
-    across builds.
-    """
-    obs = db.obs
-
-    # --- unique indexes before the table (RID probes) ---------
-    for step in plan.steps_before_table():
-        if step.target == plan.driving_index:
-            continue
-        index = table.index(step.target)
-        with maybe_span(
-            obs,
-            f"bd[hash/rid] {step.target}",
-            kind="bd",
-            target=step.target,
-        ) as span:
-            rid_set = BoundedHashSet(db.memory_bytes).build(
-                rid_list
-            )
-            step_result = bd_index_hash_probe(
-                index.tree, rid_set, db.disk,
-                compact=options.compact_leaves,
-            )
-            _note_bd(span, step_result)
-        result.step_results.append(step_result)
-
-    # --- the base table ----------------------------------------
-    table_step = plan.table_step()
-    with maybe_span(
-        obs,
-        f"bd[{table_step.method.value}/rid] {plan.table_name}",
-        kind="bd",
-        target=plan.table_name,
-    ) as span:
-        if table_step.method is BdMethod.HASH:
-            rid_set = BoundedHashSet(db.memory_bytes).build(
-                rid_list
-            )
-            rows, table_result = bd_heap_hash_probe(
-                table, rid_set, db.disk
-            )
-        else:
-            rids = [RID.unpack(r) for r in rid_list]
-            rows, table_result = bd_heap_sorted_rids(
-                table, rids, db.disk, compact=options.compact_leaves
-            )
-        _note_bd(span, table_result)
-        span.set(records_deleted=len(rows))
-    result.step_results.append(table_result)
-    result.records_deleted = len(rows)
-
-    # --- remaining indexes, fed by projections of deleted rows
-    for step in plan.steps_after_table():
-        index = table.index(step.target)
-        with maybe_span(
-            obs,
-            f"bd[{step.method.value}/{step.predicate.value}] "
-            f"{step.target}",
-            kind="bd",
-            target=step.target,
-        ) as span:
-            step_result = _run_index_step(
-                db, table, index, step, rows, rid_list, options
-            )
-            _note_bd(span, step_result)
-        result.step_results.append(step_result)
-
-    # --- non-B-tree indexes: "updated in the traditional way"
-    for index in table.hash_indexes():
-        with maybe_span(
-            obs,
-            f"hash-index {index.name}",
-            kind="bd",
-            target=index.name,
-        ) as span:
-            hash_result = BdResult(structure=index.name)
-            for rid, values in rows:
-                key = index.key_for(values, table.schema)
-                if index.hash_index.delete(key, rid.pack()):
-                    hash_result.deleted.append((key, rid.pack()))
-            db.disk.charge_cpu_records(len(rows))
-            _note_bd(span, hash_result)
-        result.step_results.append(hash_result)
-    return rows
 
 
 def execute_fragment(
@@ -374,18 +184,17 @@ def execute_fragment(
     options: Optional[BulkDeleteOptions] = None,
     validate: bool = True,
 ) -> BulkDeleteResult:
-    """Serial-only twin of :func:`execute_plan` for lane tasks.
+    """:func:`execute_plan` for lane tasks: the serial walk only.
 
     Sharded execution (:mod:`repro.shard.executor`) runs whole
     shard-local statements *as* lane tasks.  A task that could open a
     nested parallel region would re-enter the lane scheduler — and
     reach its clock repositioning and the coordinator's catalog
     mutations — mid-region, so this entry point structurally cannot:
-    it rejects ``lanes != 1`` and never calls ``_execute_parallel``,
+    it rejects ``lanes != 1`` and has no call path to ``_walk_lanes``,
     which is what lets the static lane-safety analysis vouch for the
-    fragment tasks.  The execution sequence is the exact serial path
-    of :func:`execute_plan` (same helpers, same order, bit-identical
-    simulated times).
+    fragment tasks.  Statement shell and stages are the ones
+    :func:`execute_plan` uses (bit-identical simulated times).
     """
     options = options or BulkDeleteOptions()
     if options.lanes != 1:
@@ -393,24 +202,22 @@ def execute_fragment(
             "execute_fragment is the serial-only executor; fragment "
             f"options request lanes={options.lanes}"
         )
-    if options.media is None:
-        return _execute_fragment(db, plan, keys, options, validate)
-    db.pool.media = options.media
-    try:
-        return _execute_fragment(db, plan, keys, options, validate)
-    finally:
-        db.pool.media = None
+    with _statement(db, plan, keys, options, validate) as (stages, result):
+        _walk(stages, result)
+    return result
 
 
-def _execute_fragment(
+@contextmanager
+def _statement(
     db: Database,
     plan: BulkDeletePlan,
     keys: Sequence[int],
     options: BulkDeleteOptions,
     validate: bool,
-) -> BulkDeleteResult:
-    # Twin of _execute with the parallel branch cut out; keep the two
-    # shells in step.
+) -> Iterator[Tuple[List[Stage], BulkDeleteResult]]:
+    """The statement shell around a walk of the stages: validate, root
+    span and media attachment before; reclaim, flush and the result's
+    totals after."""
     table = db.table(plan.table_name)
     if plan.table_step().method is BdMethod.NESTED_LOOPS:
         raise PlanningError(
@@ -423,47 +230,16 @@ def _execute_fragment(
     io_before = db.disk.stats.snapshot()
     result = BulkDeleteResult(plan=plan)
     obs = db.obs
-
-    with maybe_span(
+    pipe = Pipe(db, table, plan, keys, options)
+    with db.pool.attached(media=options.media), maybe_span(
         obs,
         f"bulk-delete {plan.table_name}",
         kind="delete",
         target=plan.table_name,
         n_keys=len(keys),
     ) as root:
-        with maybe_span(
-            obs, "sort(delete keys)", kind="sort", target="D"
-        ) as sort_span:
-            sorter = ExternalSorter(db.disk, db.memory_bytes, width=1)
-            sorted_keys = [k for (k,) in sorter.sort((k,) for k in keys)]
-            sort_span.set(
-                tuples=sorter.stats.input_tuples,
-                runs=sorter.stats.runs,
-                spilled=sorter.stats.spilled,
-            )
-
-        rid_list, driving_result = _produce_rid_list(
-            db, table, plan, sorted_keys, options
-        )
-        if driving_result is not None:
-            result.step_results.append(driving_result)
-
-        if plan.sort_rid_list:
-            with maybe_span(
-                obs, "sort(RID)", kind="sort", target=plan.table_name
-            ) as sort_span:
-                rid_sorter = ExternalSorter(db.disk, db.memory_bytes, width=1)
-                rid_list = [
-                    r for (r,) in rid_sorter.sort((r,) for r in rid_list)
-                ]
-                sort_span.set(
-                    tuples=rid_sorter.stats.input_tuples,
-                    runs=rid_sorter.stats.runs,
-                    spilled=rid_sorter.stats.spilled,
-                )
-
-        _serial_branches(db, table, plan, rid_list, options, result)
-
+        yield vertical_stages(pipe), result
+        result.records_deleted = len(pipe.rows)
         if options.reclaim_heap_pages:
             with maybe_span(
                 obs,
@@ -482,423 +258,69 @@ def _execute_fragment(
     result.elapsed_ms = db.clock.now_ms - start_ms
     result.io = db.disk.stats.delta_since(io_before)
     result.trace = getattr(root, "span", None)
-    return result
 
 
-def _execute_parallel(
+def _walk(stages: Sequence[Stage], result: BulkDeleteResult) -> None:
+    """Strictly serial single-disk execution — the paper's testbed."""
+    for stage in stages:
+        step_result = stage.apply()
+        if step_result is not None:
+            result.step_results.append(step_result)
+
+
+def _walk_lanes(
     db: Database,
-    table: TableInfo,
-    plan: BulkDeletePlan,
-    rid_list: List[int],
+    stages: Sequence[Stage],
     options: BulkDeleteOptions,
     result: BulkDeleteResult,
-) -> List[Row]:
-    """Run the post-barrier plan branches on ``options.lanes`` lanes.
+) -> None:
+    """Run the stages after the RID-list barrier on ``options.lanes``.
 
     The RID list is the barrier: everything after it is a set of
-    independent branches (one structure each), executed here in two
-    regions — the RID consumers (unique-index probes and the base-table
-    sweep), then the row consumers (remaining index sweeps and hash
-    index maintenance).  One RID hash set is built once and pinned
-    across lanes; branches never share a mutable structure.
-
-    Returns the deleted rows.  Region reports (makespan, per-lane
-    accounting) are appended to ``result.parallel_regions``;
-    ``result.step_results`` ends up in the same order as the serial
-    executor produces.
+    independent branches (one structure each), executed in two regions
+    — the RID consumers (unique-index probes and the base-table sweep),
+    then the row consumers (remaining index sweeps and hash index
+    maintenance).  Region reports (makespan, per-lane accounting) are
+    appended to ``result.parallel_regions``; ``result.step_results``
+    ends up in the order the serial walk produces.
     """
-    obs = db.obs
     scheduler = LaneScheduler(
         db.disk, options.lanes, options.contention, seed=options.lane_seed
     )
-    stats = collect_table_statistics(table)
-
-    def leaf_pages(name: str) -> float:
-        index_stats = stats.indexes.get(name)
-        return float(index_stats.leaf_pages) if index_stats else 0.0
-
-    shared_set = _build_shared_rid_set(db, plan, rid_list)
-
-    def rid_consumer_set() -> BoundedHashSet:
-        # Pre-table probes and the hash table sweep must not silently
-        # degrade: like the serial path, an unbuildable set raises.
-        if shared_set is not None:
-            return shared_set
-        return BoundedHashSet(db.memory_bytes).build(rid_list)
-
-    # --- region 1: RID consumers (unique indexes + base table) --------
-    tasks: List[LaneTask] = []
-    for step in plan.steps_before_table():
-        if step.target == plan.driving_index:
-            continue
-        tasks.append(
-            LaneTask(
-                name=f"bd[hash/rid] {step.target}",
-                run=_make_probe_task(db, table, step, rid_consumer_set,
-                                     options),
-                estimated_ms=leaf_pages(step.target),
-                target=step.target,
-            )
-        )
-    table_step = plan.table_step()
-    tasks.append(
-        LaneTask(
-            name=f"bd[{table_step.method.value}/rid] {plan.table_name}",
-            run=_make_table_task(db, table, plan, rid_list,
-                                 rid_consumer_set, options),
-            estimated_ms=float(stats.heap_pages),
-            target=plan.table_name,
-        )
+    _walk(
+        [s for s in stages if s.role in (KEY_SORT, DRIVING, RID_SORT)],
+        result,
     )
-    report = scheduler.run_region("pre-table", tasks, obs=obs)
-    result.parallel_regions.append(report)
-    outcomes = report.results()
-    result.step_results.extend(outcomes[:-1])
-    rows, table_result = outcomes[-1]
-    result.step_results.append(table_result)
-    result.records_deleted = len(rows)
-
-    # --- region 2: row consumers (remaining indexes, hash indexes) ----
-    tasks = []
-    for step in plan.steps_after_table():
-        tasks.append(
-            LaneTask(
-                name=(
-                    f"bd[{step.method.value}/{step.predicate.value}] "
-                    f"{step.target}"
-                ),
-                run=_make_index_task(db, table, step, rows, rid_list,
-                                     shared_set, options),
-                estimated_ms=leaf_pages(step.target),
-                target=step.target,
-            )
-        )
-    for index in table.hash_indexes():
-        tasks.append(
-            LaneTask(
-                name=f"hash-index {index.name}",
-                run=_make_hash_index_task(db, table, index, rows),
-                estimated_ms=0.0,
-                target=index.name,
-            )
-        )
-    if tasks:
-        report = scheduler.run_region("index-maintenance", tasks, obs=obs)
-        result.parallel_regions.append(report)
-        result.step_results.extend(report.results())
-    return rows
+    stats = collect_table_statistics(db.table(result.plan.table_name))
+    for region, roles in _REGIONS:
+        tasks = [
+            _lane_task(stage, _estimated_ms(stats, stage))
+            for stage in stages
+            if stage.role in roles
+        ]
+        if tasks:
+            report = scheduler.run_region(region, tasks, obs=db.obs)
+            result.parallel_regions.append(report)
+            result.step_results.extend(report.results())
 
 
-def _build_shared_rid_set(
-    db: Database, plan: BulkDeletePlan, rid_list: Sequence[int]
-) -> Optional[BoundedHashSet]:
-    """Build the one RID hash set the lanes share, if any step hashes.
-
-    Building is pure in-memory work (no simulated I/O), so sharing does
-    not change costs — it models pinning one structure instead of one
-    copy per branch.  On overflow the set is ``None`` and each hash
-    step falls back exactly as the serial executor would (probes raise,
-    post-table steps partition).
-    """
-    needs_hash = (
-        any(
-            step.target != plan.driving_index
-            for step in plan.steps_before_table()
-        )
-        or plan.table_step().method is BdMethod.HASH
-        or any(
-            step.method is BdMethod.HASH
-            for step in plan.steps_after_table()
-        )
-    )
-    if not needs_hash:
-        return None
-    with maybe_span(
-        db.obs,
-        "build(RID-hash)",
-        kind="build",
-        target=plan.table_name,
-        shared=True,
-    ) as span:
-        try:
-            shared = BoundedHashSet(db.memory_bytes).build(rid_list)
-        except HashTableOverflowError:
-            span.set(overflow=True)
-            return None
-        span.set(entries=len(rid_list))
-    return shared
-
-
-def _make_probe_task(
-    db: Database,
-    table: TableInfo,
-    step: StepPlan,
-    rid_consumer_set: "Callable[[], BoundedHashSet]",
-    options: BulkDeleteOptions,
-) -> "Callable[[], BdResult]":
-    index = table.index(step.target)
-
-    def run() -> BdResult:
-        with maybe_span(
-            db.obs,
-            f"bd[hash/rid] {step.target}",
-            kind="bd",
-            target=step.target,
-        ) as span:
-            step_result = bd_index_hash_probe(
-                index.tree, rid_consumer_set(), db.disk,
-                compact=options.compact_leaves,
-            )
-            _note_bd(span, step_result)
-        return step_result
-
-    return run
-
-
-def _make_table_task(
-    db: Database,
-    table: TableInfo,
-    plan: BulkDeletePlan,
-    rid_list: Sequence[int],
-    rid_consumer_set: "Callable[[], BoundedHashSet]",
-    options: BulkDeleteOptions,
-) -> "Callable[[], Tuple[List[Row], BdResult]]":
-    table_step = plan.table_step()
-
-    def run() -> Tuple[List[Row], BdResult]:
-        with maybe_span(
-            db.obs,
-            f"bd[{table_step.method.value}/rid] {plan.table_name}",
-            kind="bd",
-            target=plan.table_name,
-        ) as span:
-            if table_step.method is BdMethod.HASH:
-                rows, table_result = bd_heap_hash_probe(
-                    table, rid_consumer_set(), db.disk
-                )
-            else:
-                rids = [RID.unpack(r) for r in rid_list]
-                rows, table_result = bd_heap_sorted_rids(
-                    table, rids, db.disk, compact=options.compact_leaves
-                )
-            _note_bd(span, table_result)
-            span.set(records_deleted=len(rows))
-        return rows, table_result
-
-    return run
-
-
-def _make_index_task(
-    db: Database,
-    table: TableInfo,
-    step: StepPlan,
-    rows: Sequence[Row],
-    rid_list: Sequence[int],
-    shared_set: Optional[BoundedHashSet],
-    options: BulkDeleteOptions,
-) -> "Callable[[], BdResult]":
-    index = table.index(step.target)
-
-    def run() -> BdResult:
-        with maybe_span(
-            db.obs,
-            f"bd[{step.method.value}/{step.predicate.value}] "
-            f"{step.target}",
-            kind="bd",
-            target=step.target,
-        ) as span:
-            step_result = _run_index_step(
-                db, table, index, step, rows, rid_list, options,
-                rid_set=shared_set,
-            )
-            _note_bd(span, step_result)
-        return step_result
-
-    return run
-
-
-def _make_hash_index_task(
-    db: Database,
-    table: TableInfo,
-    index: IndexInfo,
-    rows: Sequence[Row],
-) -> "Callable[[], BdResult]":
-    def run() -> BdResult:
-        with maybe_span(
-            db.obs,
-            f"hash-index {index.name}",
-            kind="bd",
-            target=index.name,
-        ) as span:
-            hash_result = BdResult(structure=index.name)
-            for rid, values in rows:
-                key = index.key_for(values, table.schema)
-                if index.hash_index.delete(key, rid.pack()):
-                    hash_result.deleted.append((key, rid.pack()))
-            db.disk.charge_cpu_records(len(rows))
-            _note_bd(span, hash_result)
-        return hash_result
-
-    return run
-
-
-def _note_bd(span: object, bd_result: BdResult) -> None:
-    """Copy one ``bd`` primitive's own counters onto its span."""
-    span.set(  # type: ignore[attr-defined]
-        entries_deleted=bd_result.deleted_count,
-        pages_visited=bd_result.pages_visited,
-        pages_freed=bd_result.pages_freed,
-        partitions=bd_result.partitions,
+def _lane_task(stage: Stage, estimated_ms: float) -> LaneTask:
+    return LaneTask(
+        name=stage.name,
+        run=stage.apply,
+        estimated_ms=estimated_ms,
+        target=stage.target,
     )
 
 
-def _produce_rid_list(
-    db: Database,
-    table: TableInfo,
-    plan: BulkDeletePlan,
-    sorted_keys: Sequence[int],
-    options: BulkDeleteOptions,
-) -> Tuple[List[int], Optional[BdResult]]:
-    """First stage: turn delete keys into packed RIDs.
-
-    With a driving index this is the first ``bd`` (sort/merge on the
-    index's own key); without one, a sequential table scan finds the
-    victims (their RIDs arrive in physical order for free).
-    """
-    obs = db.obs
-    if plan.driving_index is not None:
-        index = table.index(plan.driving_index)
-        pairs = [(k, 0) for k in sorted_keys]
-        with maybe_span(
-            obs,
-            f"bd[sort-merge/key] {plan.driving_index}",
-            kind="bd",
-            target=plan.driving_index,
-            driving=True,
-        ) as span:
-            if options.base_node_reorg:
-                from repro.core.reorg import sweep_with_base_node_reorg
-
-                bd_result = sweep_with_base_node_reorg(
-                    index.tree, pairs, db.disk, match_rid=False
-                )
-            else:
-                bd_result = bd_index_sort_merge(
-                    index.tree,
-                    pairs,
-                    db.disk,
-                    match_rid=False,
-                    compact=options.compact_leaves,
-                )
-            _note_bd(span, bd_result)
-        return [rid for _, rid in bd_result.deleted], bd_result
-    key_set: Set[int] = set(sorted_keys)
-    column_idx = table.schema.column_index(plan.column)
-    rid_list: List[int] = []
-    scan_result = BdResult(structure=f"{table.name} (scan)")
-    with maybe_span(
-        obs,
-        f"scan({table.name})",
-        kind="scan",
-        target=table.name,
-        emits="RID list",
-    ) as span:
-        for page_id, records in table.heap.scan_pages():
-            scan_result.pages_visited += 1
-            db.disk.charge_cpu_records(len(records))
-            for slot, payload in records:
-                values = table.serializer.unpack(payload)
-                if values[column_idx] in key_set:
-                    rid_list.append(RID(page_id, slot).pack())
-        _note_bd(span, scan_result)
-    return rid_list, scan_result
-
-
-def _run_index_step(
-    db: Database,
-    table: TableInfo,
-    index: IndexInfo,
-    step: StepPlan,
-    rows: Sequence[Row],
-    rid_list: Sequence[int],
-    options: BulkDeleteOptions,
-    rid_set: Optional[BoundedHashSet] = None,
-) -> BdResult:
-    """Apply one post-table index step with its planned method.
-
-    ``rid_set`` lets the parallel executor pin one shared RID hash set
-    across lanes; when ``None`` (the serial path) the step builds its
-    own, falling back to partitioning on overflow.
-    """
-    if step.method is BdMethod.HASH:
-        if rid_set is None:
-            try:
-                rid_set = BoundedHashSet(db.memory_bytes).build(rid_list)
-            except HashTableOverflowError:
-                pairs = _project_pairs(table, index, rows)
-                return bd_index_partitioned(
-                    index.tree,
-                    pairs,
-                    db.memory_bytes,
-                    db.disk,
-                    compact=options.compact_leaves,
-                )
-        return bd_index_hash_probe(
-            index.tree, rid_set, db.disk, compact=options.compact_leaves
-        )
-    if step.method is BdMethod.PARTITIONED_HASH:
-        pairs = _project_pairs(table, index, rows)
-        return bd_index_partitioned(
-            index.tree,
-            pairs,
-            db.memory_bytes,
-            db.disk,
-            compact=options.compact_leaves,
-        )
-    # sort/merge: project (key, rid), sort, sweep.
-    pairs = _project_pairs(table, index, rows)
-    clustered_feed = index.clustered
-    if not clustered_feed:
-        with maybe_span(
-            db.obs, f"sort(key,RID) {index.name}", kind="sort",
-            target=index.name,
-        ) as span:
-            sorter = ExternalSorter(db.disk, db.memory_bytes, width=2)
-            pairs = list(sorter.sort(pairs))
-            span.set(
-                tuples=sorter.stats.input_tuples,
-                runs=sorter.stats.runs,
-                spilled=sorter.stats.spilled,
-            )
-    else:
-        pairs = sorted(pairs)  # already nearly ordered; cheap
-    if options.base_node_reorg:
-        from repro.core.reorg import sweep_with_base_node_reorg
-
-        return sweep_with_base_node_reorg(
-            index.tree, pairs, db.disk, match_rid=True
-        )
-    return bd_index_sort_merge(
-        index.tree,
-        pairs,
-        db.disk,
-        match_rid=True,
-        compact=options.compact_leaves,
-    )
-
-
-def _project_pairs(
-    table: TableInfo, index: IndexInfo, rows: Sequence[Row]
-) -> List[Tuple[int, int]]:
-    """Project ``(index key, packed RID)`` from the deleted rows.
-
-    Compound indexes pack their column tuple into one key here, after
-    which they are handled exactly like single-column indexes.
-    """
-    return [
-        (index.key_for(values, table.schema), rid.pack())
-        for rid, values in rows
-    ]
+def _estimated_ms(stats: TableStatistics, stage: Stage) -> float:
+    """LPT weight of a stage: the pages its sweep reads."""
+    if stage.role == TABLE:
+        return float(stats.heap_pages)
+    index_stats = stats.indexes.get(stage.target)
+    if stage.role == HASH_INDEX or index_stats is None:
+        return 0.0
+    return float(index_stats.leaf_pages)
 
 
 def bulk_delete(

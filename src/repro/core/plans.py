@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 
 class BdMethod(enum.Enum):
@@ -84,6 +84,36 @@ class BulkDeletePlan:
     #: ``"dedicated"`` (one disk per lane) or ``"shared"`` (lanes
     #: interleave on one device); only meaningful when ``lanes > 1``.
     contention: str = "dedicated"
+
+    @classmethod
+    def fixed(
+        cls,
+        table_name: str,
+        column: str,
+        driving_index: str,
+        probe: Sequence[str] = (),
+        sweep: Sequence[str] = (),
+        sort_rid_list: bool = True,
+    ) -> "BulkDeletePlan":
+        """The fixed-shape plan the §3 protocols run (no costing): the
+        driving index by sort/merge, ``probe`` indexes by RID hash
+        before the table, the RID-ordered heap sweep, then ``sweep``
+        indexes by sort/merge."""
+        steps = [StepPlan(driving_index, BdMethod.SORT_MERGE, BdPredicate.KEY)]
+        steps += [
+            StepPlan(name, BdMethod.HASH, BdPredicate.RID) for name in probe
+        ]
+        steps.append(
+            StepPlan(TABLE_TARGET, BdMethod.SORT_MERGE, BdPredicate.RID)
+        )
+        steps += [
+            StepPlan(name, BdMethod.SORT_MERGE, BdPredicate.KEY)
+            for name in sweep
+        ]
+        return cls(
+            table_name, column, driving_index, steps,
+            sort_rid_list=sort_rid_list,
+        )
 
     def index_steps(self) -> List[StepPlan]:
         return [s for s in self.steps if not s.is_table]

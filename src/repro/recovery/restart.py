@@ -26,12 +26,26 @@ finished, as §3.2 requires.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.catalog.catalog import IndexInfo, TableInfo
 from repro.catalog.database import Database
-from repro.core.bulk_ops import bd_heap_sorted_rids, bd_index_sort_merge
-from repro.errors import RecoveryError, ReproError, RetriesExhausted
+from repro.core.bulk_ops import BdResult
+from repro.core.executor import BulkDeleteOptions
+from repro.core.plans import BulkDeletePlan
+from repro.core.stages import (
+    DRIVING,
+    KEY_SORT,
+    POST_TABLE,
+    RID_SORT,
+    TABLE,
+    Pipe,
+    Stage,
+    vertical_stages,
+)
+from repro.errors import RecoveryError, RetriesExhausted
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, SimulatedCrash
 from repro.media.retry import MediaRecovery, wal_image_source
@@ -162,22 +176,10 @@ class RecoverableBulkDelete:
     # ------------------------------------------------------------------
     def run(self) -> int:
         """Execute to completion (or to the injected crash)."""
-        db = self.db
-        if self.faults is not None:
-            self.faults.arm(db.disk, pool=db.pool, log=self.log)
-        if self.full_page_writes:
-            db.pool.page_image_sink = self._log_page_image
-        if self.media is not None:
-            db.pool.media = self.media
-        try:
+        with journaled(
+            self.db, self.log, self.faults, self.full_page_writes, self.media
+        ):
             return self._run()
-        finally:
-            if self.media is not None:
-                db.pool.media = None
-            if self.full_page_writes:
-                db.pool.page_image_sink = None
-            if self.faults is not None:
-                self.faults.disarm()
 
     def _run(self) -> int:
         db = self.db
@@ -197,46 +199,26 @@ class RecoverableBulkDelete:
             for ix in table.indexes.values()
             if ix.name != driving_name
         ]
-        stages = (
-            [{"kind": "index", "name": driving_name, "role": "driving"}]
-            + [{"kind": "table"}]
-            + [{"kind": "index", "name": name} for name in others]
-        )
         begin_lsn = self.log.append(
             "bulk_begin",
             table=self.table_name,
             column=self.column,
-            stages=stages,
+            stages=(
+                [{"kind": "index", "name": driving_name, "role": "driving"}]
+                + [{"kind": "table"}]
+                + [{"kind": "index", "name": name} for name in others]
+            ),
             index_order=others,
         )
-        sorted_keys = sorted(self.keys)
-        self._materialize(
-            "keys", 1, [(k,) for k in sorted_keys], begin_lsn
+        pipe = _roll_forward_pipe(
+            db, table, self.column, driving_name, others, self.keys
         )
-        # Initial checkpoint: restart must be able to restore the
-        # catalog metadata as of the statement's start even when the
-        # crash hits before the first structure completes.
-        self._checkpoint(begin_lsn, "__initial__")
-        self._maybe_crash("after_begin")
-        self._apply_traffic("after_begin")
-
-        rid_list = self._run_driving(begin_lsn, driving_name, sorted_keys)
-        self._checkpoint(begin_lsn, driving_name)
-        self._maybe_crash("after_driving")
-        self._apply_traffic("after_driving")
-
-        deleted = self._run_table(begin_lsn, others, rid_list)
-        self._checkpoint(begin_lsn, "__table__")
-        self._maybe_crash("after_table")
-        self._apply_traffic("after_table")
-
-        if self.lanes == 1:
-            for name in others:
-                self._run_index(begin_lsn, name)
-                self._checkpoint(begin_lsn, name)
-                self._maybe_crash(f"after_index:{name}")
-                self._apply_traffic(f"after_index:{name}")
-        elif others:
+        stages = vertical_stages(pipe)
+        index_stages = [s for s in stages if s.role == POST_TABLE]
+        for stage in stages:
+            if self.lanes == 1 or stage.role != POST_TABLE:
+                self._run_stage(begin_lsn, stage)
+        if self.lanes != 1 and index_stages:
             # Each lane task carries its own checkpoint and crash
             # point, so the durable-event order matches the (fixed,
             # seeded) execution order and the sweep stays replayable.
@@ -247,63 +229,103 @@ class RecoverableBulkDelete:
                 "index-maintenance",
                 [
                     LaneTask(
-                        name=f"bd[sort-merge/rid] {name}",
-                        run=self._make_index_stage(begin_lsn, name),
-                        target=name,
+                        name=stage.name,
+                        run=self._make_lane_stage(begin_lsn, stage),
+                        target=stage.target,
                     )
-                    for name in others
+                    for stage in index_stages
                 ],
                 obs=db.obs,
             )
 
-        self._maybe_crash("before_end")
-        self._apply_traffic("before_end")
+        self._boundary("before_end")
         self.log.append("bulk_end", begin_lsn=begin_lsn)
-        return deleted
+        return len(pipe.rows)
 
-    def _apply_traffic(self, point: str) -> None:
-        """Apply the user writes scheduled at this stage boundary.
+    def _run_stage(self, begin_lsn: int, stage: Stage) -> None:
+        """Walk one stage under the journal.
 
-        Each write's ``user_op`` WAL record is its commit point —
-        forced before any page effect, so a crash anywhere after the
-        append cannot lose the write (replay re-derives the effects
-        from the record), and a crash before it means the write never
-        committed (the client re-submits).  One flush per boundary
-        makes the batch durable the cheap way.
+        The ``bd`` stages run with their redo hook set; the two list
+        sorts are replaced by an (uncharged) in-memory sort plus a
+        materialisation to stable storage, and the post-table feeds
+        are read back from there.  Each structure ends in a checkpoint,
+        its crash point and the user writes scheduled at the boundary.
         """
-        ops = self.traffic.get(point, ())
-        if not ops:
-            return
-        for op in ops:
-            apply_user_write(self.db, self.log, self.table_name, op)
-        self.db.flush()
+        pipe, role, done = stage.pipe, stage.role, stage.target
+        point = f"after_index:{done}"
+        if role == KEY_SORT:
+            pipe.keys = sorted(pipe.keys)
+            self._materialize(
+                "keys", 1, [(k,) for k in pipe.keys], begin_lsn
+            )
+            # Initial checkpoint: restart must be able to restore the
+            # catalog metadata as of the statement's start even when
+            # the crash hits before the first structure completes.
+            done, point = "__initial__", "after_begin"
+        elif role == DRIVING:
+            self._run_logged(stage)
+            return  # done once its RID list is on stable storage
+        elif role == RID_SORT:
+            pipe.rid_list = sorted(pipe.rid_list)
+            self._materialize(
+                "rids", 1, [(r,) for r in pipe.rid_list], begin_lsn
+            )
+            done, point = str(pipe.plan.driving_index), "after_driving"
+        elif role == TABLE:
+            indexes = [
+                pipe.table.index(s.target)
+                for s in pipe.plan.steps_after_table()
+            ]
+            stage.redo = self._heap_logger(pipe.table, indexes)
+            stage.apply()
+            for ix in indexes:
+                pairs = sorted(
+                    (ix.key_for(values, pipe.table.schema), rid.pack())
+                    for rid, values in pipe.rows
+                )
+                self._materialize(f"pairs:{ix.name}", 2, pairs, begin_lsn)
+            done, point = "__table__", "after_table"
+        else:
+            stage.ordered_pairs = [
+                (k, r)
+                for k, r in self._load_materialized(
+                    f"pairs:{done}", begin_lsn
+                )
+            ]
+            self._run_logged(stage)
+        self._checkpoint(begin_lsn, done)
+        self._boundary(point)
 
-    # ------------------------------------------------------------------
-    # stages
-    # ------------------------------------------------------------------
-    def _run_driving(
-        self, begin_lsn: int, driving_name: str, sorted_keys: List[int]
-    ) -> List[int]:
-        table = self.db.table(self.table_name)
-        tree = table.index(driving_name).tree
-        bd = bd_index_sort_merge(
-            tree,
-            [(k, 0) for k in sorted_keys],
-            self.db.disk,
-            match_rid=False,
-            on_removed=self._redo_logger(driving_name),
-        )
-        rid_list = sorted(rid for _, rid in bd.deleted)
-        self._materialize("rids", 1, [(r,) for r in rid_list], begin_lsn)
-        return rid_list
+    def _make_lane_stage(self, begin_lsn: int, stage: Stage):
+        def run() -> None:
+            self._run_stage(begin_lsn, stage)
 
-    def _run_table(
-        self, begin_lsn: int, index_order: List[str], rid_list: List[int]
-    ) -> int:
-        db = self.db
-        table = db.table(self.table_name)
-        indexes = [table.index(name) for name in index_order]
-        width = 1 + len(indexes)
+        return run
+
+    def _run_logged(self, stage: Stage) -> BdResult:
+        """Apply an index stage with a redo record forced per leaf."""
+        structure = stage.target
+
+        def log_leaf(removed: List[Entry]) -> None:
+            self.log.append(
+                "leaf_deletes", structure=structure, entries=list(removed)
+            )
+            self._maybe_crash_mid(structure)
+
+        stage.redo = log_leaf
+        result = stage.apply()
+        assert result is not None
+        return result
+
+    def _heap_logger(
+        self,
+        table: TableInfo,
+        indexes: Sequence[IndexInfo],
+        collected: Optional[List[Tuple[int, ...]]] = None,
+    ):
+        """The heap sweep's redo hook: one ``heap_deletes`` record per
+        page, each entry the RID plus that row's key in every index of
+        ``indexes`` — what the post-table feeds are re-derived from."""
 
         def log_page(batch: List[Tuple[RID, bytes]]) -> None:
             entries = []
@@ -314,56 +336,34 @@ class RecoverableBulkDelete:
             self.log.append(
                 "heap_deletes", structure="__table__", entries=entries
             )
+            if collected is not None:
+                collected.extend(entries)
             self._maybe_crash_mid("__table__")
 
-        rows = table.heap.delete_many_sorted(
-            [RID.unpack(r) for r in rid_list], on_page_deletes=log_page
-        )
-        db.disk.charge_cpu_records(len(rows))
-        # Project and materialize the per-index (key, RID) pairs.
-        decoded = [
-            (rid, table.serializer.unpack(payload)) for rid, payload in rows
-        ]
-        for ix in indexes:
-            pairs = sorted(
-                (ix.key_for(values, table.schema), rid.pack())
-                for rid, values in decoded
-            )
-            self._materialize(f"pairs:{ix.name}", 2, pairs, begin_lsn)
-        return len(rows)
+        return log_page
 
-    def _make_index_stage(self, begin_lsn: int, name: str):
-        def stage() -> None:
-            self._run_index(begin_lsn, name)
-            self._checkpoint(begin_lsn, name)
-            self._maybe_crash(f"after_index:{name}")
+    def _boundary(self, point: str) -> None:
+        """Crash point, then the user writes scheduled at it.
 
-        return stage
-
-    def _run_index(self, begin_lsn: int, name: str) -> None:
-        table = self.db.table(self.table_name)
-        tree = table.index(name).tree
-        pairs = self._load_materialized(f"pairs:{name}", begin_lsn)
-        bd_index_sort_merge(
-            tree,
-            [(k, r) for k, r in pairs],
-            self.db.disk,
-            match_rid=True,
-            on_removed=self._redo_logger(name),
-        )
+        Each write's ``user_op`` WAL record is its commit point —
+        forced before any page effect, so a crash anywhere after the
+        append cannot lose the write (replay re-derives the effects
+        from the record), and a crash before it means the write never
+        committed (the client re-submits).  One flush per boundary
+        makes the batch durable the cheap way.
+        """
+        if self.faults is not None:
+            self.faults.stage(point)
+        ops = self.traffic.get(point, ())
+        if not ops:
+            return
+        for op in ops:
+            apply_user_write(self.db, self.log, self.table_name, op)
+        self.db.flush()
 
     # ------------------------------------------------------------------
     # logging / checkpointing / crashing
     # ------------------------------------------------------------------
-    def _redo_logger(self, structure: str):
-        def _log(removed: List[Entry]) -> None:
-            self.log.append(
-                "leaf_deletes", structure=structure, entries=list(removed)
-            )
-            self._maybe_crash_mid(structure)
-
-        return _log
-
     def _materialize(
         self, name: str, width: int, items: Sequence[Tuple[int, ...]], begin_lsn: int
     ) -> None:
@@ -382,19 +382,23 @@ class RecoverableBulkDelete:
     def _load_materialized(
         self, name: str, begin_lsn: int
     ) -> List[Tuple[int, ...]]:
+        """Read a materialised list back; a list a restart wrote again
+        supersedes the interrupted run's."""
+        found = None
         for record in self.log.records("materialized"):
             if (
                 record.payload["begin_lsn"] == begin_lsn
                 and record.payload["name"] == name
             ):
-                spill = SpillFile.from_pages(
-                    self.db.disk,
-                    record.payload["width"],
-                    record.payload["page_ids"],
-                    record.payload["count"],
-                )
-                return list(spill)
-        raise RecoveryError(f"materialized list {name} not found in log")
+                found = record.payload
+        if found is None:
+            raise RecoveryError(f"materialized list {name} not found in log")
+        return list(
+            SpillFile.from_pages(
+                self.db.disk, found["width"], found["page_ids"],
+                found["count"],
+            )
+        )
 
     def _checkpoint(self, begin_lsn: int, structure: str) -> None:
         self.db.flush()
@@ -407,16 +411,54 @@ class RecoverableBulkDelete:
             metadata=capture_metadata(self.db),
         )
 
-    def _maybe_crash(self, point: str) -> None:
-        if self.faults is not None:
-            self.faults.stage(point)
-
     def _maybe_crash_mid(self, structure: str) -> None:
         if self.faults is not None:
             self.faults.redo_record(structure)
 
-    def _log_page_image(self, page_id: int, image: bytes) -> None:
-        self.log.append("page_image", page_id=page_id, image=image)
+
+@contextmanager
+def journaled(
+    db: Database,
+    log: WriteAheadLog,
+    faults: Optional[FaultInjector] = None,
+    full_page_writes: bool = False,
+    media: Optional[MediaRecovery] = None,
+) -> Iterator[None]:
+    """The shell of a recoverable run: ``faults`` armed on disk, pool
+    and log, full-page images logged, ``media`` attached — all undone on
+    exit, also when the run crashes."""
+
+    def log_page_image(page_id: int, image: bytes) -> None:
+        log.append("page_image", page_id=page_id, image=image)
+
+    if faults is not None:
+        faults.arm(db.disk, pool=db.pool, log=log)
+    try:
+        with db.pool.attached(
+            media=media,
+            page_image_sink=log_page_image if full_page_writes else None,
+        ):
+            yield
+    finally:
+        if faults is not None:
+            faults.disarm()
+
+
+def _roll_forward_pipe(
+    db: Database,
+    table: TableInfo,
+    column: str,
+    driving_name: str,
+    index_order: Sequence[str],
+    keys: Sequence[int],
+) -> Pipe:
+    """§3.2's statement as a vertical plan: one structure at a time —
+    driving index, RID-sorted heap sweep, then every other index by
+    sort/merge — so each can end in a checkpoint."""
+    plan = BulkDeletePlan.fixed(
+        table.name, column, driving_name, sweep=index_order
+    )
+    return Pipe(db, table, plan, keys, BulkDeleteOptions())
 
 
 def apply_user_write(
@@ -562,21 +604,8 @@ def recover(
     open_rec = log.find_open_bulk_delete()
     if open_rec is not None:
         report.resumed = True
-        if faults is not None:
-            faults.arm(db.disk, pool=db.pool, log=log)
-        if full_page_writes:
-            db.pool.page_image_sink = (
-                lambda page_id, image: log.append(
-                    "page_image", page_id=page_id, image=image
-                )
-            )
-        try:
+        with journaled(db, log, faults, full_page_writes):
             _resume(db, log, open_rec, side_files, faults, report)
-        finally:
-            if full_page_writes:
-                db.pool.page_image_sink = None
-            if faults is not None:
-                faults.disarm()
     # Committed user writes are re-established even when no statement
     # is open: a write's WAL record can outlive unflushed page effects
     # regardless of how the statement itself ended.
@@ -630,7 +659,7 @@ def _resume(
     begin_lsn = open_rec.lsn
     table_name = open_rec.payload["table"]
     index_order: List[str] = open_rec.payload["index_order"]
-    stages = open_rec.payload["stages"]
+    driving_name = open_rec.payload["stages"][0]["name"]
     table = db.table(table_name)
 
     # Restore the most recent checkpoint's metadata (if any).
@@ -671,18 +700,17 @@ def _resume(
     runner = RecoverableBulkDelete(
         db, table_name, open_rec.payload["column"], [], log, faults=faults
     )
+    pipe = _roll_forward_pipe(
+        db, table, open_rec.payload["column"], driving_name, index_order, []
+    )
+    index_stage = {
+        stage.target: stage
+        for stage in vertical_stages(pipe)
+        if stage.role in (DRIVING, POST_TABLE)
+    }
 
     def load(name: str) -> List[Tuple[int, ...]]:
-        payload = {
-            r.payload["name"]: r.payload
-            for r in log.records("materialized")
-            if r.payload["begin_lsn"] == begin_lsn
-        }[name]
-        return list(
-            SpillFile.from_pages(
-                db.disk, payload["width"], payload["page_ids"], payload["count"]
-            )
-        )
+        return runner._load_materialized(name, begin_lsn)
 
     logged_by_structure: Dict[str, List[Tuple[int, ...]]] = {}
     for record in log.records_after(begin_lsn):
@@ -691,37 +719,34 @@ def _resume(
                 record.payload["structure"], []
             ).extend(tuple(e) for e in record.payload["entries"])
 
-    driving_name = stages[0]["name"]
-    rid_list: Optional[List[int]] = None
+    def redo_index(name: str) -> Set[Entry]:
+        """Re-run one index stage; return what it and the interrupted
+        run removed together."""
+        bd = runner._run_logged(index_stage[name])
+        union: Set[Entry] = set(
+            (k, r) for k, r in logged_by_structure.get(name, [])
+        )
+        fresh_count = len(bd.deleted)
+        union.update(bd.deleted)
+        # Entries deleted+flushed before the crash are in the log but
+        # not re-deleted now; fix the in-memory count accordingly.
+        table.index(name).tree._entry_count -= len(union) - fresh_count
+        return union
 
     # --- driving index ---------------------------------------------------
     if driving_name in done:
         report.skipped_structures.append(driving_name)
         rid_list = [r for (r,) in load("rids")]
     else:
-        sorted_keys = [k for (k,) in load("keys")]
-        tree = table.index(driving_name).tree
-        bd = bd_index_sort_merge(
-            tree,
-            [(k, 0) for k in sorted_keys],
-            db.disk,
-            match_rid=False,
-            on_removed=runner._redo_logger(driving_name),
-        )
-        union: Set[Entry] = set(
-            (k, r) for k, r in logged_by_structure.get(driving_name, [])
-        )
-        fresh_count = len(bd.deleted)
-        union.update(bd.deleted)
-        # Entries deleted+flushed before the crash are in the log but
-        # not re-deleted now; fix the in-memory count accordingly.
-        tree._entry_count -= len(union) - fresh_count
-        rid_list = sorted(r for _, r in union)
+        pipe.keys = [k for (k,) in load("keys")]
+        rid_list = sorted(r for _, r in redo_index(driving_name))
         runner._materialize("rids", 1, [(r,) for r in rid_list], begin_lsn)
         runner._checkpoint(begin_lsn, driving_name)
         report.redone_structures.append(driving_name)
 
     # --- base table --------------------------------------------------------
+    # Recovery safety code, deliberately not a stage: the sweep filters
+    # on ``heap.exists``, charges no CPU and repairs the record count.
     indexes = [table.index(name) for name in index_order]
     if "__table__" in done:
         report.skipped_structures.append("__table__")
@@ -738,20 +763,11 @@ def _resume(
             RID.unpack(r) for r in rid_list if table.heap.exists(RID.unpack(r))
         ]
         collected: List[Tuple[int, ...]] = list(logged_rows.values())
-
-        def log_page(batch: List[Tuple[RID, bytes]]) -> None:
-            entries = []
-            for rid, payload in batch:
-                values = table.serializer.unpack(payload)
-                keys = [ix.key_for(values, table.schema) for ix in indexes]
-                entries.append((rid.pack(), *keys))
-            log.append("heap_deletes", structure="__table__", entries=entries)
-            collected.extend(entries)
-            if faults is not None:
-                faults.redo_record("__table__")
-
         pre_count = table.heap.record_count
-        table.heap.delete_many_sorted(to_delete, on_page_deletes=log_page)
+        table.heap.delete_many_sorted(
+            to_delete,
+            on_page_deletes=runner._heap_logger(table, indexes, collected),
+        )
         # Dedupe (a row may be both logged and re-deleted just now).
         unique_rows = {row[0]: row for row in collected}
         # Deletions flushed before the crash are not in to_delete; the
@@ -765,39 +781,16 @@ def _resume(
             runner._materialize(f"pairs:{ix.name}", 2, pairs, begin_lsn)
         runner._checkpoint(begin_lsn, "__table__")
         report.redone_structures.append("__table__")
-        materialized = {
-            r.payload["name"]: r.payload
-            for r in log.records("materialized")
-            if r.payload["begin_lsn"] == begin_lsn
-        }
 
     # --- remaining indexes --------------------------------------------------
-    materialized = {
-        r.payload["name"]: r.payload
-        for r in log.records("materialized")
-        if r.payload["begin_lsn"] == begin_lsn
-        and checkpoint is not None
-        and r.lsn < checkpoint.lsn
-    }
     for name in index_order:
         if name in done:
             report.skipped_structures.append(name)
             continue
-        pairs = [(k, r) for k, r in load(f"pairs:{name}")]
-        tree = table.index(name).tree
-        bd = bd_index_sort_merge(
-            tree,
-            pairs,
-            db.disk,
-            match_rid=True,
-            on_removed=runner._redo_logger(name),
-        )
-        union = set(
-            (k, r) for k, r in logged_by_structure.get(name, [])
-        )
-        fresh_count = len(bd.deleted)
-        union.update(bd.deleted)
-        tree._entry_count -= len(union) - fresh_count
+        index_stage[name].ordered_pairs = [
+            (k, r) for k, r in load(f"pairs:{name}")
+        ]
+        redo_index(name)
         runner._checkpoint(begin_lsn, name)
         report.redone_structures.append(name)
 

@@ -48,7 +48,7 @@ from repro.core.integrity import SET_NULL_VALUE
 from repro.errors import RecoveryError
 from repro.faults.injector import FaultInjector
 from repro.media.retry import MediaRecovery
-from repro.recovery.restart import RecoveryReport, recover
+from repro.recovery.restart import RecoveryReport, journaled, recover
 from repro.recovery.snapshot import capture_metadata, restore_metadata
 from repro.recovery.wal import WriteAheadLog
 from repro.retention.policy import (
@@ -166,25 +166,10 @@ class RecoverableRetentionRun:
     def run(self) -> RetentionRunReport:
         """Execute every node and the erase phase to completion (or to
         the injected crash)."""
-        db = self.db
-        if self.faults is not None:
-            self.faults.arm(db.disk, pool=db.pool, log=self.log)
-        if self.full_page_writes:
-            db.pool.page_image_sink = self._log_page_image
-        if self.media is not None:
-            db.pool.media = self.media
-        try:
+        with journaled(
+            self.db, self.log, self.faults, self.full_page_writes, self.media
+        ):
             return self._run()
-        finally:
-            if self.media is not None:
-                db.pool.media = None
-            if self.full_page_writes:
-                db.pool.page_image_sink = None
-            if self.faults is not None:
-                self.faults.disarm()
-
-    def _log_page_image(self, page_id: int, image: bytes) -> None:
-        self.log.append("page_image", page_id=page_id, image=image)
 
     def _run(self) -> RetentionRunReport:
         db = self.db

@@ -15,6 +15,7 @@ pages over and over (Experiment 4 in the paper varies exactly this).
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Optional
 
@@ -127,6 +128,29 @@ class BufferPool:
         """Size the pool from a byte budget (at least one frame)."""
         frames = max(1, budget_bytes // disk.page_size)
         return cls(disk, frames)
+
+    @contextmanager
+    def attached(
+        self,
+        media: Optional[Any] = None,
+        page_image_sink: Optional[Callable[[int, bytes], None]] = None,
+    ) -> Iterator[None]:
+        """Attach ``media`` and/or ``page_image_sink`` for a ``with`` block.
+
+        ``None`` leaves that hook as it is.  On exit — also when the
+        block raises — both hooks go back to what they were on entry,
+        so a statement issued under an outer caller's attachment (a
+        media sweep, a retention run) does not detach it.
+        """
+        previous = (self.media, self.page_image_sink)
+        if media is not None:
+            self.media = media
+        if page_image_sink is not None:
+            self.page_image_sink = page_image_sink
+        try:
+            yield
+        finally:
+            self.media, self.page_image_sink = previous
 
     # ------------------------------------------------------------------
     # pinning API

@@ -30,19 +30,15 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.catalog import IndexInfo, TableInfo
 from repro.catalog.database import Database
-from repro.core.bulk_ops import (
-    BdResult,
-    bd_heap_sorted_rids,
-    bd_index_hash_probe,
-    bd_index_sort_merge,
-)
+from repro.core.bulk_ops import BdResult
+from repro.core.executor import BulkDeleteOptions
+from repro.core.plans import BulkDeletePlan
+from repro.core.stages import POST_TABLE, Pipe, Stage, vertical_stages
 from repro.errors import (
     IndexOfflineError,
     TransactionError,
     UniqueViolationError,
 )
-from repro.query.hashtable import BoundedHashSet
-from repro.query.sort import ExternalSorter
 from repro.storage.rid import RID
 from repro.txn.locks import LockMode
 from repro.txn.sidefile import SideFile, SideFileOp
@@ -101,7 +97,8 @@ class BulkDeleteCoordinator:
         self.side_files: Dict[str, SideFile] = {}
         self.undeletable: Dict[str, Set[Entry]] = {}
         self._txn: Optional[Transaction] = None
-        self._pairs_by_index: Dict[str, List[Entry]] = {}
+        #: Post-table stage per off-line index (the propagation phase).
+        self._propagation: Dict[str, Stage] = {}
         self._rid_list: List[int] = []
 
     # ------------------------------------------------------------------
@@ -129,47 +126,24 @@ class BulkDeleteCoordinator:
         self.phase = Phase.CRITICAL
 
     def process_critical_phase(self) -> None:
-        """Driving index → unique indexes (RID probe) → base table."""
+        """Driving index → unique indexes (RID probe) → base table:
+        the plan's stages through the table."""
         if self.phase is not Phase.CRITICAL:
             raise TransactionError("begin() must run first")
-        db, table = self.db, self.db.table(self.table_name)
-        sorter = ExternalSorter(db.disk, db.memory_bytes, width=1)
-        sorted_keys = [k for (k,) in sorter.sort((k,) for k in self.keys)]
-        driving = self._driving_index(table)
-        bd = bd_index_sort_merge(
-            driving.tree,
-            [(k, 0) for k in sorted_keys],
-            db.disk,
-            match_rid=False,
+        table = self.db.table(self.table_name)
+        pipe = Pipe(
+            self.db, table, self._plan(table), self.keys,
+            BulkDeleteOptions(),
         )
-        self.report.critical_steps.append(bd)
-        self._rid_list = [rid for _, rid in bd.deleted]
-        if not driving.clustered:
-            rid_sorter = ExternalSorter(db.disk, db.memory_bytes, width=1)
-            self._rid_list = [
-                r for (r,) in rid_sorter.sort((r,) for r in self._rid_list)
-            ]
-        # Unique secondary indexes first, by RID probe (no keys needed).
-        rid_set = BoundedHashSet(db.memory_bytes).build(self._rid_list)
-        for index in table.indexes.values():
-            if index.name == driving.name or not index.unique:
+        for stage in vertical_stages(pipe):
+            if stage.role == POST_TABLE:
+                self._propagation[stage.target] = stage
                 continue
-            self.report.critical_steps.append(
-                bd_index_hash_probe(index.tree, rid_set, db.disk)
-            )
-        rows, table_bd = bd_heap_sorted_rids(
-            table, [RID.unpack(r) for r in self._rid_list], db.disk
-        )
-        self.report.critical_steps.append(table_bd)
-        self.report.records_deleted = len(rows)
-        # Stash per-index (key, RID) projections for the propagation phase.
-        for name in self.side_files:
-            index = table.index(name)
-            self._pairs_by_index[name] = [
-                (index.key_for(values, table.schema), rid.pack())
-                for rid, values in rows
-            ]
-        self._driving_name = driving.name
+            step_result = stage.apply()
+            if step_result is not None:
+                self.report.critical_steps.append(step_result)
+        self._rid_list = pipe.rid_list
+        self.report.records_deleted = len(pipe.rows)
 
     def commit_critical(self) -> None:
         """Release the table; bring processed indexes back on-line."""
@@ -207,23 +181,14 @@ class BulkDeleteCoordinator:
         """
         if self.phase is not Phase.PROPAGATION:
             raise TransactionError("not in the propagation phase")
-        db, table = self.db, self.db.table(self.table_name)
-        index = table.index(index_name)
+        index = self.db.table(self.table_name).index(index_name)
         if index.is_online:
             raise TransactionError(f"index {index_name} is already on-line")
-        pairs = self._pairs_by_index[index_name]
-        protected = self.undeletable.get(index_name, set())
-        if protected:
-            # Exact-match sort/merge cannot delete a protected entry by
-            # accident (its key differs), but a re-used RID *with the
-            # same key* must still survive: filter those pairs out.
-            pairs = [p for p in pairs if p not in protected]
-            self.report.undeletable_protected += len(protected)
-        sorter = ExternalSorter(db.disk, db.memory_bytes, width=2)
-        sorted_pairs = list(sorter.sort(pairs))
-        bd = bd_index_sort_merge(
-            index.tree, sorted_pairs, db.disk, match_rid=True
-        )
+        stage = self._propagation[index_name]
+        stage.undeletable = self.undeletable.get(index_name, set())
+        self.report.undeletable_protected += len(stage.undeletable)
+        bd = stage.apply()
+        assert bd is not None
         self.report.propagation_steps.append(bd)
         if self.mode is PropagationMode.SIDE_FILE:
             applied, _ = self.side_files[index_name].drain(index.tree)
@@ -245,16 +210,31 @@ class BulkDeleteCoordinator:
             self.process_index(name)
         return self.report
 
-    def _driving_index(self, table: TableInfo) -> IndexInfo:
+    def _plan(self, table: TableInfo) -> BulkDeletePlan:
+        """The §3 protocol as a vertical plan: the clustered (else the
+        first) index on the delete column drives; unique indexes go
+        before the table by RID probe (unique-first, §3.1.3); the
+        side-file indexes follow it by sort/merge."""
         candidates = table.indexes_on(self.column)
         if not candidates:
             raise TransactionError(
                 f"concurrent bulk delete needs an index on {self.column}"
             )
-        for ix in candidates:
-            if ix.clustered:
-                return ix
-        return candidates[0]
+        driving = next(
+            (ix for ix in candidates if ix.clustered), candidates[0]
+        )
+        return BulkDeletePlan.fixed(
+            self.table_name,
+            self.column,
+            driving.name,
+            probe=[
+                ix.name
+                for ix in table.indexes.values()
+                if ix.unique and ix.name != driving.name
+            ],
+            sweep=list(self.side_files),
+            sort_rid_list=not driving.clustered,
+        )
 
 
 class UpdateRouter:

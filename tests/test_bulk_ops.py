@@ -212,3 +212,41 @@ def test_collect_index_matches_empty_inputs(tree_and_disk):
 
     tree, disk = tree_and_disk
     assert collect_index_matches(tree, [], disk).deleted == []
+
+
+def test_bd_primitives_have_one_caller():
+    """The vertical plan is spelled out once: only ``core/stages.py``
+    (one call site per primitive) applies a ``bd`` primitive or the
+    heap's bulk delete.  The primitives' own modules, the bulk UPDATE
+    and restart's table redo — recovery safety arithmetic that is
+    deliberately not a stage — are the documented exceptions."""
+    import ast
+    from collections import Counter
+    from pathlib import Path
+
+    import repro
+
+    allowed = {
+        "core/bulk_ops.py", "core/reorg.py", "core/bulk_update.py",
+    }
+    root = Path(repro.__file__).parent
+    sites = Counter()
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", "")
+            if name.startswith("bd_") or name == "delete_many_sorted":
+                sites[rel, name] += 1
+    assert sites == {
+        ("core/stages.py", "bd_index_sort_merge"): 1,
+        ("core/stages.py", "bd_index_hash_probe"): 1,
+        ("core/stages.py", "bd_index_partitioned"): 1,
+        ("core/stages.py", "bd_heap_sorted_rids"): 1,
+        ("core/stages.py", "bd_heap_hash_probe"): 1,
+        ("recovery/restart.py", "delete_many_sorted"): 1,
+    }

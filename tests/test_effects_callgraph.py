@@ -248,9 +248,13 @@ def test_real_tree_shape():
     # count long before anything else noticed.
     assert len(graph.functions) > 700
     assert sum(len(n.calls) for n in graph.functions.values()) > 1200
-    # The executor's two regions (4 factories) + restart's redo region
-    # + the sharded executor's fragment region.
-    assert len(graph.lane_dispatches) == 6
-    assert all(
-        d.kind == "factory" and d.entry for d in graph.lane_dispatches
-    )
+    # The executor's one dispatch site (both regions hand stages to
+    # lanes through it) + restart's redo region + the sharded
+    # executor's fragment region.
+    assert {(d.kind, d.entry) for d in graph.lane_dispatches} == {
+        ("function", "repro.core.stages.Stage.apply"),
+        ("factory",
+         "repro.recovery.restart.RecoverableBulkDelete._make_lane_stage"),
+        ("factory", "repro.shard.executor._make_fragment_task"),
+    }
+    assert len(graph.lane_dispatches) == 3

@@ -3,8 +3,8 @@
 Synthetic packages pin the detector (module-global writes, catalog
 mutation, clock rewinds, ad hoc counters — each reachable from a
 ``LaneTask`` dispatch, directly or through a factory closure), and the
-repo gate verifies the executor's two parallel regions and the
-recovery redo region analyze clean.
+repo gate verifies the executor's lane regions, the recovery redo
+region and the shard fragment region analyze clean.
 """
 
 import textwrap
@@ -16,6 +16,7 @@ from repro.analysis.effects.lanesafety import (
     LANE_RULE,
     OPAQUE_RULE,
     check_lane_safety,
+    lane_entries,
 )
 from repro.analysis.effects.lattice import seed_effects
 
@@ -194,6 +195,19 @@ def test_real_repo_lane_regions_clean():
     seed_effects(graph, root)
     findings = check_lane_safety(graph)
     assert findings == [], "\n".join(f.render() for f in findings)
-    # And not vacuously: all six dispatch sites resolved to entries.
-    assert len(graph.lane_dispatches) == 6
-    assert {d.kind for d in graph.lane_dispatches} == {"factory"}
+    # And not vacuously: all three dispatch sites resolved to entries
+    # (the executor's stages dispatch ``Stage.apply`` directly), and
+    # the walk from each reaches the bd primitives.
+    assert len(graph.lane_dispatches) == 3
+    assert sorted(d.kind for d in graph.lane_dispatches) == [
+        "factory", "factory", "function",
+    ]
+    sweep = "repro.core.bulk_ops.bd_index_sort_merge"
+    for dispatch in graph.lane_dispatches:
+        reached, queue = set(), lane_entries(graph, dispatch)
+        while queue:
+            qual = queue.pop()
+            if qual not in reached:
+                reached.add(qual)
+                queue.extend(graph.callees(qual))
+        assert sweep in reached, dispatch

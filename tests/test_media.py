@@ -38,7 +38,13 @@ from repro.errors import (
     TransientReadError,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import LATENT, STUCK, TRANSIENT, FaultPlan
+from repro.faults.plan import (
+    LATENT,
+    STUCK,
+    TRANSIENT,
+    FaultPlan,
+    SimulatedCrash,
+)
 from repro.faults.sweep import SweepScenario, capture_state
 from repro.media import (
     MediaPolicy,
@@ -427,6 +433,42 @@ def test_bulk_delete_options_media_attaches_for_the_statement():
     assert result.records_deleted == len(keys)
     assert db.pool.media is None  # detached afterwards
     assert scrub_database(db, media=media).ok
+
+
+def test_outer_attachment_survives_an_inner_statement():
+    # A sweep or retention run attaches its media layer and page-image
+    # sink, then issues statements that attach their own: the inner
+    # statement must hand the pool back as it found it — also when it
+    # raises.
+    case = SweepScenario(records=32).build()
+    db, disk = case.db, case.db.disk
+    outer = MediaRecovery(disk)
+    inner = MediaRecovery(disk)
+    images = []
+
+    def outer_sink(page_id, image):
+        images.append(page_id)
+
+    with db.pool.attached(media=outer, page_image_sink=outer_sink):
+        bulk_delete(
+            db, "R", "A", case.keys[:4],
+            options=BulkDeleteOptions(media=inner), force_vertical=True,
+        )
+        assert db.pool.media is outer
+        assert db.pool.page_image_sink is outer_sink
+        with pytest.raises(SimulatedCrash):
+            RecoverableBulkDelete(
+                db, "R", "A", case.keys[4:], case.log,
+                crash_point="after_driving", full_page_writes=True,
+                media=inner,
+            ).run()
+        assert db.pool.media is outer
+        assert db.pool.page_image_sink is outer_sink
+        recover(db, case.log, full_page_writes=True)
+        assert db.pool.media is outer
+        assert db.pool.page_image_sink is outer_sink
+    assert images  # the outer sink saw the plain statement's pages
+    assert db.pool.media is None and db.pool.page_image_sink is None
 
 
 def test_recoverable_bulk_delete_heals_latent_fault_mid_statement():

@@ -19,14 +19,19 @@ import pytest
 from repro.analysis.code_lint import lint_source
 from repro.analysis.findings import Severity
 from repro.analysis.plan_lint import lint_plan
-from repro.core.executor import BulkDeleteOptions, bulk_delete
+from repro.core.executor import (
+    BulkDeleteOptions,
+    bulk_delete,
+    execute_fragment,
+    execute_plan,
+)
 from repro.core.planner import (
     choose_plan,
     estimate_vertical_ms,
     estimate_vertical_parallel_ms,
     makespan_ms,
 )
-from repro.core.plans import BdMethod
+from repro.core.plans import BdMethod, BulkDeletePlan
 from repro.errors import ReproError, StorageError
 from repro.faults.sweep import (
     SweepScenario,
@@ -44,6 +49,7 @@ from repro.parallel import (
 )
 from repro.recovery.restart import RecoverableBulkDelete
 from repro.storage.disk import DiskStats, SimulatedDisk
+from repro.txn.coordinator import BulkDeleteCoordinator
 from repro.workload.generator import WorkloadConfig, build_workload
 
 
@@ -273,6 +279,91 @@ def test_lanes_one_is_bit_identical_to_serial():
     assert r_one.elapsed_ms == r_serial.elapsed_ms
     assert r_one.parallel_regions == []
     assert capture_state(db_one) == capture_state(db_serial)
+
+
+def identity_case():
+    """Driving index on A, a plain index on B, a unique one on C."""
+    wl = build_workload(
+        WorkloadConfig(record_count=400, index_columns=("A", "B"))
+    )
+    wl.db.create_index("R", "C", unique=True)
+    keys = wl.delete_keys(0.2)
+    wl.reset_measurements()
+    return wl.db, keys
+
+
+def test_executor_fragment_and_coordinator_walk_the_same_stages():
+    # The §3 protocol's fixed sequence, spelled as the equivalent plan.
+    plan = BulkDeletePlan.fixed(
+        "R", "A", "I_R_A", probe=["I_R_C"], sweep=["I_R_B"]
+    )
+    # The coordinator has no reclaim step; everything before it must
+    # cost the same.
+    options = BulkDeleteOptions(reclaim_heap_pages=False)
+    runs = []
+    for execute in (execute_plan, execute_fragment):
+        db, keys = identity_case()
+        result = execute(db, plan, keys, options=options)
+        runs.append((db, db.disk.stats.snapshot(), result.step_results))
+    db, keys = identity_case()
+    report = BulkDeleteCoordinator(db, "R", "A", keys).run_to_completion()
+    db.flush()
+    runs.append((
+        db, db.disk.stats.snapshot(),
+        report.critical_steps + report.propagation_steps,
+    ))
+    _, base_io, base_steps = runs[0]
+    assert [s.structure for s in base_steps] == ["I_R_A", "I_R_C", "R", "I_R_B"]
+    for _, io, steps in runs[1:]:
+        assert io == base_io
+        assert [(s.structure, s.deleted) for s in steps] == [
+            (s.structure, s.deleted) for s in base_steps
+        ]
+    states = [capture_state(db) for db, _, _ in runs]
+    assert states[1] == states[0] and states[2] == states[0]
+
+
+@pytest.mark.parametrize("lanes", [2, 4])
+@pytest.mark.parametrize(
+    "method, tiny_memory",
+    [
+        (BdMethod.SORT_MERGE, False),
+        (BdMethod.HASH, False),
+        (BdMethod.PARTITIONED_HASH, False),
+        (BdMethod.HASH, True),  # RID set overflows: steps partition
+    ],
+)
+def test_lanes_return_step_results_in_serial_order(method, tiny_memory, lanes):
+    def run(options):
+        wl = build_workload(SMALL)
+        keys = wl.delete_keys(0.2)
+        db = wl.db
+        plan = choose_plan(
+            db, "R", "A", len(keys), prefer_method=method,
+            force_vertical=True,
+        )
+        if tiny_memory:
+            # Post-table hash steps only: probes before the table and
+            # a hash table sweep must raise on overflow, not degrade.
+            assert [s.method for s in plan.steps_after_table()] == [
+                BdMethod.HASH, BdMethod.HASH
+            ]
+            plan.table_step().method = BdMethod.SORT_MERGE
+            db.memory_bytes = 1024
+        result = execute_plan(db, plan, keys, options, validate=False)
+        return db, result
+
+    db_serial, serial = run(BulkDeleteOptions())
+    db_lanes, par = run(BulkDeleteOptions(lanes=lanes))
+    assert [(s.structure, s.partitions, sorted(s.deleted))
+            for s in par.step_results] == [
+        (s.structure, s.partitions, sorted(s.deleted))
+        for s in serial.step_results
+    ]
+    if tiny_memory:
+        assert all(s.partitions > 1 for s in serial.step_results[-2:])
+    assert par.records_deleted == serial.records_deleted == 80
+    assert capture_state(db_lanes) == capture_state(db_serial)
 
 
 def test_parallel_dedicated_same_outcome_faster():
