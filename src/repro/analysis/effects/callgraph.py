@@ -17,6 +17,10 @@ builds that graph statically:
   (``tree = BLinkTree(...)``), and a small :data:`KNOWN_ALIASES` table
   for the engine's pervasive attribute idioms (``self.disk``,
   ``db.pool``, ``...clock``),
+* a ``typing.Protocol`` types nothing: its stubs are not bodies anyone
+  runs, so a receiver annotated with one is treated as untyped and
+  dispatches structurally, by the rule below (this is how the sweep
+  kernel's calls reach every scenario's ``issue``/``restart``),
 * anything still unresolved falls back conservatively: a method name
   defined by a handful of known classes resolves to *all* of them —
   unless the name is a common container/builtin method
@@ -289,7 +293,10 @@ def _collect_declarations(
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = add_function(stmt, scope, cls)
-                if cls is not None and not scope[-1:] == ["<locals>"]:
+                if cls is not None and not scope[-1:] == ["<locals>"] \
+                        and "Protocol" not in graph.classes[cls].bases:
+                    # (A Protocol's stubs are not methods anyone runs:
+                    # a receiver typed by one dispatches by name, below.)
                     cls_node = graph.classes[cls]
                     cls_node.methods.setdefault(stmt.name, qual)
                     graph.method_index.setdefault(stmt.name, []).append(qual)
@@ -307,8 +314,9 @@ def _collect_declarations(
                     module=module,
                     name=stmt.name,
                     bases=[
-                        b.id if isinstance(b, ast.Name) else
-                        (b.attr if isinstance(b, ast.Attribute) else "")
+                        _annotation_name(
+                            b.value if isinstance(b, ast.Subscript) else b
+                        ) or ""
                         for b in stmt.bases
                     ],
                 )

@@ -20,14 +20,13 @@ Commands:
   quantify the interference (``--strategy sidefile|chunked|both``;
   ``--selfcheck`` asserts the methodology's invariants end to end;
   see :mod:`repro.workload.traffic` and ``docs/workloads.md``),
-* ``faultsweep`` — exhaustive crash-point sweep for the recovery
-  path: crash a recoverable bulk delete after every durable event
-  (WAL force / page write), recover, and assert the result matches
-  the fault-free oracle (see :mod:`repro.faults`); ``--traffic N``
-  commits N concurrent user writes at the statement's stage
-  boundaries and additionally requires zero lost committed writes,
-  and ``--shards K`` sweeps the crash over every global durable event
-  of a K-shard recoverable statement sequence instead,
+* ``faultsweep`` — the crash sweeps of ``docs/fault_injection.md``:
+  crash a recoverable bulk delete after every durable event (WAL
+  force / page write), restart, and assert the result matches the
+  fault-free oracle.  ``--shards K``, ``--lsm`` and ``--retention``
+  pick the sharded statement sequence, the LSM engine or the retention
+  run instead of the heap table; a flag the chosen scenario does not
+  read (``--lsm --lanes 4``) is a usage error,
 * ``shard`` — range-sharded bulk delete: route a delete list across
   key-range shards (each with its own heap and indexes) and run the
   fragments as independent lane tasks (``--lanes``, ``--shards``);
@@ -35,10 +34,9 @@ Commands:
   with the unsharded executor, lane speedup, exact rollup
   reconciliation, and hot-range taming (see :mod:`repro.shard` and
   ``docs/sharding.md``),
-* ``mediasweep`` — the media-failure analogue: inject every read-fault
-  kind (transient / latent / stuck) on every durable page and assert
-  the statement either self-heals to the fault-free oracle or aborts
-  typed and clean (see :mod:`repro.media.sweep`),
+* ``mediasweep`` — the media-failure analogue: every read-fault kind
+  (transient / latent / stuck) on every durable page must self-heal to
+  the oracle or abort typed and clean (see :mod:`repro.media.sweep`),
 * ``scrub`` — the online amcheck-style scrubber: checksum-sweep every
   live page and cross-reconcile heaps against their indexes;
   ``--selfcheck`` injects known faults and verifies detection,
@@ -54,8 +52,10 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro import Database
 from repro.bench.experiments import ALL_EXPERIMENTS
@@ -169,8 +169,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
     from repro.core.executor import bulk_delete
     from repro.obs.explain import render_trace
     from repro.obs.export import export_document, trace_entry
@@ -303,120 +301,129 @@ def _cmd_oltp(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _sweep_payload(kind: str, report: object) -> dict:
+def _sweep_payload(kind: str, report: Any) -> dict:
     """Machine-readable sweep outcome (``faultsweep --format json``)."""
-    import dataclasses
-
-    data = dataclasses.asdict(report)  # type: ignore[call-overload]
+    data = dataclasses.asdict(report)
     data["sweep"] = kind
-    data["ok"] = report.ok  # type: ignore[attr-defined]
-    data["failures"] = len(report.failures)  # type: ignore[attr-defined]
+    data["ok"] = report.ok
+    data["failures"] = len(report.failures)
     return data
 
 
-def _emit_sweep(args: argparse.Namespace, kind: str, report: object) -> int:
+def _emit_sweep(args: argparse.Namespace, kind: str, report: Any) -> int:
     """Print one sweep report in the selected format; exit status."""
-    import json
-
     if args.format == "json":
         print(json.dumps(_sweep_payload(kind, report), indent=2))
-        return 0 if report.ok else 1  # type: ignore[attr-defined]
-    print(report.summary())  # type: ignore[attr-defined]
-    if not report.ok:  # type: ignore[attr-defined]
-        for failure in report.failures:  # type: ignore[attr-defined]
+    else:
+        print(report.summary())
+        for failure in report.failures:
             print(f"  {failure}")
-        return 1
-    return 0
+    return 0 if report.ok else 1
 
 
-def _cmd_faultsweep(args: argparse.Namespace) -> int:
-    import dataclasses
+def _sweep_retention(args: argparse.Namespace, log_fn) -> int:
+    from repro.retention import (
+        audit_mutation_checks,
+        retention_media_sweep,
+        retention_sweep,
+    )
+    from repro.retention.sweep import AUDIT_MUTATIONS
 
-    from repro.faults import crash_point_sweep
-    from repro.faults.sweep import SweepScenario
-
-    verbose = print if args.verbose and args.format != "json" else None
-
-    if args.retention:
-        import json
-
-        from repro.retention import (
-            audit_mutation_checks,
-            retention_media_sweep,
-            retention_sweep,
-        )
-
-        crash_report = retention_sweep(
-            max_points=args.max_points, log_fn=verbose,
-        )
-        media_report = retention_media_sweep(
-            max_points=args.max_points, log_fn=verbose,
-        )
-        mutation_failures = audit_mutation_checks(log_fn=verbose)
-        ok = (
-            crash_report.ok and media_report.ok and not mutation_failures
-        )
-        if args.format == "json":
-            print(json.dumps({
-                "sweep": "retention",
-                "ok": ok,
-                "crash": _sweep_payload("retention-crash", crash_report),
-                "media": _sweep_payload("retention-media", media_report),
-                "mutations": {
-                    "ok": not mutation_failures,
-                    "checks": 4,
-                    "failures": mutation_failures,
-                },
-            }, indent=2))
-            return 0 if ok else 1
+    crash_report = retention_sweep(max_points=args.max_points, log_fn=log_fn)
+    media_report = retention_media_sweep(
+        max_points=args.max_points, log_fn=log_fn,
+    )
+    mutation_failures = audit_mutation_checks(log_fn=log_fn)
+    ok = crash_report.ok and media_report.ok and not mutation_failures
+    if args.format == "json":
+        print(json.dumps({
+            "sweep": "retention",
+            "ok": ok,
+            "crash": _sweep_payload("retention-crash", crash_report),
+            "media": _sweep_payload("retention-media", media_report),
+            "mutations": {
+                "ok": not mutation_failures,
+                "checks": len(AUDIT_MUTATIONS),
+                "failures": mutation_failures,
+            },
+        }, indent=2))
+    else:
         print("crash pass:  " + crash_report.summary())
         print("media pass:  " + media_report.summary())
         print(
-            "mutation pass: 4 planted traces, "
+            f"mutation pass: {len(AUDIT_MUTATIONS)} planted traces, "
             f"{len(mutation_failures)} missed"
         )
         for failure in mutation_failures:
             print(f"  FAIL {failure}")
-        return 0 if ok else 1
+    return 0 if ok else 1
 
-    if args.lsm:
-        from repro.lsm import LsmSweepScenario, lsm_crash_sweep
 
-        report = lsm_crash_sweep(
-            scenario=dataclasses.replace(
-                LsmSweepScenario(), records=args.records, torn=args.torn,
-            ),
-            max_points=args.max_points,
-            log_fn=verbose,
-        )
-        return _emit_sweep(args, "lsm", report)
+#: Scenario flags of ``faultsweep``/``mediasweep`` and their defaults.
+_SWEEP_FLAGS = {
+    "records": 48, "lanes": 1, "traffic": 0, "no_double": False,
+    "torn": False, "wal_tail": "keep",
+}
 
-    if args.shards > 0:
-        from repro.shard import ShardSweepScenario, shard_crash_sweep
 
-        report = shard_crash_sweep(
-            scenario=dataclasses.replace(
-                ShardSweepScenario(),
-                records=args.records, shards=args.shards,
-            ),
-            max_points=args.max_points,
-            log_fn=verbose,
-        )
-        return _emit_sweep(args, "shard", report)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.faults.sweep import SweepScenario, crash_point_sweep
+    from repro.lsm import LsmSweepScenario, lsm_crash_sweep
+    from repro.media import media_sweep
+    from repro.shard import ShardSweepScenario, shard_crash_sweep
 
-    scenario = dataclasses.replace(
-        SweepScenario(), records=args.records, lanes=args.lanes,
-        traffic_ops=args.traffic,
+    given = set()
+    for flag, default in _SWEEP_FLAGS.items():
+        if getattr(args, flag, None) in (None, False):
+            setattr(args, flag, default)
+        else:
+            given.add(flag)
+    log_fn = print if args.verbose and args.format != "json" else None
+
+    def emit(kind, scenario, sweep, **keywords):
+        return lambda: _emit_sweep(args, kind, sweep(
+            scenario, args.max_points, log_fn=log_fn, **keywords
+        ))
+
+    # Sweep -> (the scenario flags it reads, its runner).  ``crash`` and
+    # ``media`` are their command's default; the rest are picked by the
+    # ``faultsweep`` selector flag of the same name.
+    name = next(
+        (s for s in ("shards", "lsm", "retention") if getattr(args, s, None)),
+        args.sweep,
     )
-    report = crash_point_sweep(
-        scenario=scenario,
-        max_points=args.max_points,
-        double_crash=not args.no_double,
-        torn_writes=args.torn,
-        wal_tail=args.wal_tail,
-        log_fn=verbose,
-    )
-    return _emit_sweep(args, "crash", report)
+    fit = dataclasses.replace
+    reads, run = {
+        "crash": (set(_SWEEP_FLAGS), emit(
+            "crash",
+            fit(SweepScenario(), records=args.records, lanes=args.lanes,
+                traffic_ops=args.traffic),
+            crash_point_sweep, double_crash=not args.no_double,
+            torn_writes=args.torn, wal_tail=args.wal_tail,
+        )),
+        "shards": ({"records"}, emit(
+            "shard",
+            fit(ShardSweepScenario(), records=args.records,
+                shards=args.shards),
+            shard_crash_sweep,
+        )),
+        "lsm": ({"records", "torn"}, emit(
+            "lsm",
+            fit(LsmSweepScenario(), records=args.records, torn=args.torn),
+            lsm_crash_sweep,
+        )),
+        "retention": (set(), lambda: _sweep_retention(args, log_fn)),
+        "media": ({"records"}, emit(
+            "media", fit(SweepScenario(), records=args.records),
+            media_sweep,
+        )),
+    }[name]
+    for flag in sorted(given - reads):
+        # It would silently sweep something other than what was asked.
+        args.usage_error(
+            f"--{flag.replace('_', '-')} is not read by the {name} sweep"
+        )
+    return run()
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
@@ -784,25 +791,7 @@ def _lsm_selfcheck() -> int:
     return 0 if not failures else 1
 
 
-def _cmd_mediasweep(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.faults.sweep import SweepScenario
-    from repro.media import media_sweep
-
-    scenario = dataclasses.replace(SweepScenario(), records=args.records)
-    report = media_sweep(
-        scenario=scenario,
-        max_points=args.max_points,
-        log_fn=print if args.verbose else None,
-    )
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
 def _cmd_scrub(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from repro.faults.sweep import SweepScenario
     from repro.media import scrub_database
 
@@ -987,6 +976,7 @@ def _retention_selfcheck() -> int:
         retention_media_sweep,
         retention_sweep,
     )
+    from repro.retention.sweep import AUDIT_MUTATIONS
 
     failures: List[str] = []
 
@@ -1100,8 +1090,10 @@ def _retention_selfcheck() -> int:
 
     # 6. The audit is not vacuously green: planted traces are caught.
     mutation_failures = audit_mutation_checks(scenario)
-    check("audit mutation checks (4 planted traces)",
-          not mutation_failures)
+    check(
+        f"audit mutation checks ({len(AUDIT_MUTATIONS)} planted traces)",
+        not mutation_failures,
+    )
     for failure in mutation_failures:
         print(f"    {failure}")
 
@@ -1141,7 +1133,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_effects(args: argparse.Namespace) -> int:
-    import json
     from pathlib import Path
 
     from repro.analysis.code_lint import default_root
@@ -1276,41 +1267,40 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sweep.add_argument("--max-points", type=int, default=None,
                          help="bound the sweep to K evenly spaced crash "
                          "points (default: every durable event)")
-    p_sweep.add_argument("--records", type=int, default=48,
-                         help="rows in the swept table")
+    p_sweep.add_argument("--records", type=int, default=None,
+                         help="rows in the swept table (default 48)")
     p_sweep.add_argument("--no-double", action="store_true",
                          help="skip the crash-during-recovery pass")
     p_sweep.add_argument("--torn", action="store_true",
                          help="make every crashing write a torn (half) "
                          "page write; enables full-page-write logging")
     p_sweep.add_argument("--wal-tail", choices=("keep", "drop", "torn"),
-                         default="keep",
+                         default=None,
                          help="what happens to the WAL record being "
                          "forced when the crash lands on it")
-    p_sweep.add_argument("--lanes", type=int, default=1,
+    p_sweep.add_argument("--lanes", type=int, default=None,
                          help="run the post-table index stages on K "
                          "concurrent simulated I/O lanes (default 1, "
                          "serial); the seeded scheduler keeps every "
                          "crash point replayable")
-    p_sweep.add_argument("--traffic", type=int, default=0,
+    p_sweep.add_argument("--traffic", type=int, default=None,
                          help="commit K concurrent user writes at the "
                          "statement's stage boundaries and require "
                          "zero lost committed writes after recovery")
-    p_sweep.add_argument("--shards", type=int, default=0,
+    p_which = p_sweep.add_mutually_exclusive_group()
+    p_which.add_argument("--shards", type=int, default=0,
                          help="sweep a range-sharded delete instead: "
                          "crash after every global durable event of a "
-                         "K-shard statement sequence (ignores the "
-                         "single-table-only flags)")
-    p_sweep.add_argument("--lsm", action="store_true",
+                         "K-shard statement sequence (reads --records)")
+    p_which.add_argument("--lsm", action="store_true",
                          help="sweep the LSM engine instead: crash "
                          "after every durable event (log appends, run "
                          "builds, manifest commits, superblock flips) "
                          "of a tombstone bulk delete and require "
                          "recovery to an oracle-consistent state with "
-                         "no resurrected rows (--torn tears the "
-                         "crashing write; other single-table flags "
-                         "are ignored)")
-    p_sweep.add_argument("--retention", action="store_true",
+                         "no resurrected rows (reads --records and "
+                         "--torn, which tears the crashing write)")
+    p_which.add_argument("--retention", action="store_true",
                          help="sweep the retention subsystem instead: "
                          "crash every durable event and transient-fault "
                          "every durable page of a two-policy cascading "
@@ -1324,7 +1314,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                          "`repro lint --format json` conventions")
     p_sweep.add_argument("--verbose", action="store_true",
                          help="print per-point progress (text format)")
-    p_sweep.set_defaults(func=_cmd_faultsweep)
+    p_sweep.set_defaults(func=_cmd_sweep, sweep="crash",
+                         usage_error=p_sweep.error)
 
     p_shard = sub.add_parser(
         "shard",
@@ -1371,11 +1362,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_media.add_argument("--max-points", type=int, default=None,
                          help="bound the sweep to K evenly sampled "
                          "pages per fault kind (default: every page)")
-    p_media.add_argument("--records", type=int, default=48,
-                         help="rows in the swept table")
+    p_media.add_argument("--records", type=int, default=None,
+                         help="rows in the swept table (default 48)")
     p_media.add_argument("--verbose", action="store_true",
                          help="print per-point progress")
-    p_media.set_defaults(func=_cmd_mediasweep)
+    p_media.set_defaults(func=_cmd_sweep, sweep="media", format="text",
+                         shards=0, usage_error=p_media.error)
 
     p_scrub = sub.add_parser(
         "scrub",

@@ -15,11 +15,12 @@ layers where durability actually happens:
 * :class:`~repro.storage.buffer.BufferPool` — every crash drops the
   unflushed buffer contents, exactly like a power failure.
 
-On top of the injector, :func:`crash_point_sweep` runs a recoverable
-bulk delete once to count its durable events, then re-runs it with a
-crash injected after *every* k-th event (and again with a second crash
-during recovery), asserting each time that the recovered database is
-equivalent to the no-crash oracle.
+On top of the injector, the sweep kernel (:mod:`repro.faults.kernel`)
+runs a scenario's statement once to count its durable events, then
+re-runs it with a crash injected after *every* k-th event, asserting
+each time that the restarted database equals the no-crash oracle;
+:func:`crash_point_sweep` is the heap-table scenario (which also takes
+a second crash during recovery).
 """
 
 from repro.faults.injector import FaultInjector

@@ -1,30 +1,22 @@
-"""Exhaustive crash-point sweep over the recovery path.
+"""The heap-table crash sweep: §3.2's recovery claim as a scenario.
 
-The sweep turns §3.2's recovery claim into a checked property:
+:func:`crash_point_sweep` hands the recoverable bulk delete of a
+:class:`SweepScenario` to the sweep kernel
+(:mod:`repro.faults.kernel`, which owns the oracle pass, the per-point
+skeleton, the re-issue rule and the terminal-restart check).  What is
+specific to this scenario lives here:
 
-1. run a recoverable bulk delete **fault-free** on a deterministic
-   scenario, capturing the *oracle* state (every table's rows and
-   counts, every index's entries) and the number N of durable events
-   the statement produced,
-2. for each k in 1..N, rebuild the identical scenario, crash it right
-   after durable event k, run :func:`repro.recovery.restart.recover`,
-   and require the recovered database to be equivalent to the oracle
-   and internally consistent (tree validation, count reconciliation,
-   heap/index cross-checks, ``core.integrity`` foreign keys),
-3. prove recovery is *re-entrant*: for sampled j, crash the recovery
-   run itself at its j-th durable event, recover again, and require the
-   same equivalence.
-
-Scenario builds are deterministic (seeded RNG, simulated clock), so
-durable-event k always lands on the same write — a failing point is
-exactly reproducible with
-``FaultPlan(crash_after_event=k)`` on a fresh build.
-
-If the statement verifiably never started (its ``bulk_begin`` was the
-lost tail record, or recovery abandoned it before any modification),
-the sweep re-issues the statement — that is the client's contract, not
-a recovery failure — but only when the recovered state is bit-identical
-to the pre-statement state; anything else is reported as a failure.
+* the deterministic workload — table R (unique index on the driving
+  column, one secondary per extra column) and child table S behind a
+  RESTRICT foreign key,
+* ``wal_tail`` / ``torn_writes`` shaping of the crashing event, and the
+  second crash *inside* recovery (this is the one scenario whose
+  restart takes a fault injector),
+* the internal-consistency walk (:func:`integrity_problems`: tree
+  validation, count reconciliation, heap/index cross-checks,
+  ``core.integrity`` foreign keys, LSM tombstone hygiene),
+* concurrent user writes at stage boundaries, with the zero-lost-
+  committed-writes property (:func:`lost_user_writes`).
 """
 
 from __future__ import annotations
@@ -33,7 +25,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.btree.maintenance import validate_tree
 from repro.catalog.database import Database
 from repro.catalog.schema import Attribute, TableSchema
 from repro.core.integrity import (
@@ -42,8 +33,11 @@ from repro.core.integrity import (
     find_referencing_keys,
 )
 from repro.errors import ReproError
+from repro.faults import kernel
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, SimulatedCrash
+from repro.faults.kernel import PointOutcome, SweepReport  # old import path
+from repro.media.retry import MediaRecovery
+from repro.media.scrub import reconcile_structures
 from repro.recovery.restart import (
     RecoverableBulkDelete,
     UserWrite,
@@ -289,106 +283,95 @@ def integrity_problems(
     deleted_keys: Optional[List[int]] = None,
     limit: int = 20,
 ) -> List[str]:
-    """Internal-consistency violations, independent of any oracle."""
-    problems: List[str] = []
+    """Internal-consistency violations, independent of any oracle.
+
+    The scrubber's heap/index/count reconciliation, plus what only a
+    finished delete can be held to: no run tombstone outlives a flushed
+    LSM table, and no child row still references a deleted parent key
+    (a SET NULL child holds ``SET_NULL_VALUE`` instead).
+    """
+    problems = reconcile_structures(db, limit)
 
     def note(message: str) -> None:
         if len(problems) < limit:
             problems.append(message)
 
     for table in db.catalog.tables():
-        if table.is_sharded:
-            # Checked shard by shard: the logical entry's empty heap
-            # would otherwise be compared against the chained scan.
-            continue
-        table_name = table.schema.name
-        actual = list(db.scan(table_name))
-        if table.heap.record_count != len(actual):
-            note(
-                f"{table_name}: heap record_count "
-                f"{table.heap.record_count} != {len(actual)} scanned rows"
-            )
-        expected_by_index: Dict[str, list] = {}
-        for name, ix in sorted(table.indexes.items()):
-            if not ix.is_btree:
-                continue
-            try:
-                validate_tree(ix.tree)
-            except ReproError as exc:
-                note(f"{table_name}.{name}: structural: {exc}")
-                continue
-            items = list(ix.tree.items())
-            if ix.tree.entry_count != len(items):
-                note(
-                    f"{table_name}.{name}: entry_count "
-                    f"{ix.tree.entry_count} != {len(items)} entries"
-                )
-            expected = sorted(
-                (ix.key_for(values, table.schema), rid.pack())
-                for rid, values in actual
-            )
-            expected_by_index[name] = expected
-            if sorted(items) != expected:
-                note(
-                    f"{table_name}.{name}: {len(items)} entries do not "
-                    f"match the {len(actual)} heap rows"
-                )
+        lsm = table.lsm
+        if lsm is not None and lsm.tombstone_count \
+                and not lsm.memtable.entries:
+            note(f"{table.schema.name}: undropped run tombstones remain")
     if registry is not None and deleted_keys:
         for fk in registry.all_constraints():
             refs = find_referencing_keys(db, fk, deleted_keys)
             if refs:
+                unnulled = (
+                    "un-nulled " if fk.on_delete is OnDelete.SET_NULL else ""
+                )
                 note(
-                    f"fk {fk.child_table}.{fk.child_column}: "
-                    f"{len(refs)} references to deleted parent keys"
+                    f"fk {fk.describe()}: {len(refs)} {unnulled}"
+                    "references to deleted parent keys"
                 )
     return problems
 
 
-@dataclass
-class PointOutcome:
-    """One crash-point run (single crash, or crash + recovery crash)."""
+@dataclass(frozen=True)
+class RecoverableStatement:
+    """The scenario's bulk delete as the kernel sees it: one
+    :class:`RecoverableBulkDelete` on table R, restarted by
+    :func:`repro.recovery.restart.recover`."""
 
-    event: int
-    second_event: Optional[int]
-    crash: Optional[str] = None
-    problems: List[str] = field(default_factory=list)
-    recovery_events: int = 0
+    scenario: SweepScenario
+    full_page_writes: bool
 
-    @property
-    def ok(self) -> bool:
-        return not self.problems
+    def build(self) -> SweepCase:
+        return self.scenario.build()
 
+    def issue(
+        self,
+        case: SweepCase,
+        faults: Optional[FaultInjector],
+        media: Optional[MediaRecovery],
+    ) -> None:
+        RecoverableBulkDelete(
+            case.db, "R", "A", case.keys, case.log,
+            faults=faults, full_page_writes=self.full_page_writes,
+            lanes=self.scenario.lanes, media=media, traffic=case.traffic,
+        ).run()
 
-@dataclass
-class SweepReport:
-    """Everything a sweep did and found."""
+    def restart(
+        self, case: SweepCase, faults: Optional[FaultInjector]
+    ) -> bool:
+        report = recover(
+            case.db, case.log, faults=faults,
+            full_page_writes=self.full_page_writes,
+        )
+        end = case.log.last("bulk_end") if case.traffic_order else None
+        if end is not None and not end.payload.get("abandoned"):
+            # The statement is durably complete.  Writes whose commit
+            # record died with the crash were never acknowledged; the
+            # client re-submits them (the oracle ran the full schedule,
+            # so the comparison needs them applied).  A statement that
+            # never began re-runs its whole schedule when re-issued.
+            committed = sum(1 for _ in case.log.records("user_op"))
+            for write in case.traffic_order[committed:]:
+                apply_user_write(case.db, case.log, "R", write)
+            case.db.flush()
+        return report.resumed and not report.abandoned
 
-    durable_events: int = 0
-    points: List[int] = field(default_factory=list)
-    outcomes: List[PointOutcome] = field(default_factory=list)
+    def state(self, case: SweepCase) -> kernel.State:
+        state = capture_state(case.db)
+        return logical_state(state) if case.traffic_order else state
 
-    @property
-    def failures(self) -> List[PointOutcome]:
-        return [o for o in self.outcomes if not o.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        single = [o for o in self.outcomes if o.second_event is None]
-        double = [o for o in self.outcomes if o.second_event is not None]
-        lines = [
-            f"durable events: {self.durable_events}; crash points swept: "
-            f"{len(single)}; double-crash runs: {len(double)}; "
-            f"failures: {len(self.failures)}"
-        ]
-        for outcome in self.failures[:10]:
-            where = f"event {outcome.event}"
-            if outcome.second_event is not None:
-                where += f" + recovery event {outcome.second_event}"
-            lines.append(f"  FAIL at {where}: {outcome.problems[0]}")
-        return "\n".join(lines)
+    def problems(self, case: SweepCase, oracle: kernel.State) -> List[str]:
+        problems = integrity_problems(case.db, case.registry, case.keys)
+        if case.traffic_order:
+            # Zero lost committed writes.  Re-submitted writes touch
+            # rows of their own (every scheduled write has distinct
+            # values), so they cannot mask a committed write that
+            # recovery lost.
+            problems = lost_user_writes(case.db, case.log) + problems
+        return problems
 
 
 def crash_point_sweep(
@@ -412,202 +395,16 @@ def crash_point_sweep(
     point are re-run with a second crash inside recovery
     (``double_samples <= 0`` means every recovery event).
     """
-    scenario = scenario or SweepScenario()
     if full_page_writes is None:
         full_page_writes = torn_writes
-    say = log_fn or (lambda message: None)
-
-    # Pass 0: pre-statement state, oracle state, durable event count.
-    case = scenario.build()
-    initial = capture_state(case.db)
-    counter = FaultInjector()
-    RecoverableBulkDelete(
-        case.db, "R", "A", case.keys, case.log,
-        faults=counter, full_page_writes=full_page_writes,
-        lanes=scenario.lanes, traffic=case.traffic,
-    ).run()
-    oracle = capture_state(case.db)
-    oracle_problems = integrity_problems(case.db, case.registry, case.keys)
-    if oracle_problems:
-        raise ReproError(
-            "fault-free oracle run is already inconsistent: "
-            + "; ".join(oracle_problems)
-        )
-    report = SweepReport(durable_events=counter.durable_event_count)
-    report.points = _choose_points(counter.durable_event_count, max_points)
-    say(
-        f"oracle: {counter.durable_event_count} durable events; "
-        f"sweeping {len(report.points)} crash points"
-        + (f" (wal_tail={wal_tail})" if wal_tail != "keep" else "")
-        + (" (torn page writes)" if torn_writes else "")
+    if not double_crash:
+        doubles: Optional[int] = 0
+    else:
+        doubles = double_samples if double_samples > 0 else None
+    return kernel.crash_sweep(
+        RecoverableStatement(scenario or SweepScenario(), full_page_writes),
+        max_points, log_fn, doubles,
+        torn_write=torn_writes,
+        drop_wal_tail=(wal_tail == "drop"),
+        torn_wal_tail=(wal_tail == "torn"),
     )
-
-    for k in report.points:
-        outcome = _run_point(
-            scenario, k, None, torn_writes, wal_tail, full_page_writes,
-            initial, oracle,
-        )
-        report.outcomes.append(outcome)
-        if not outcome.ok:
-            say(f"  event {k}: FAIL: {outcome.problems[0]}")
-            continue
-        if not double_crash or not outcome.recovery_events:
-            continue
-        samples = None if double_samples <= 0 else double_samples
-        for j in _choose_points(outcome.recovery_events, samples):
-            second = _run_point(
-                scenario, k, j, torn_writes, wal_tail, full_page_writes,
-                initial, oracle,
-            )
-            report.outcomes.append(second)
-            if not second.ok:
-                say(
-                    f"  event {k} + recovery event {j}: FAIL: "
-                    f"{second.problems[0]}"
-                )
-    return report
-
-
-def _choose_points(total: int, max_points: Optional[int]) -> List[int]:
-    if total <= 0:
-        return []
-    if max_points is None or max_points >= total:
-        return list(range(1, total + 1))
-    if max_points <= 0:
-        return []
-    return sorted({
-        max(1, min(total, round(i * total / max_points)))
-        for i in range(1, max_points + 1)
-    })
-
-
-def _run_point(
-    scenario: SweepScenario,
-    event: int,
-    second_event: Optional[int],
-    torn_writes: bool,
-    wal_tail: str,
-    full_page_writes: bool,
-    initial: Dict[str, TableState],
-    oracle: Dict[str, TableState],
-) -> PointOutcome:
-    case = scenario.build()
-
-    def plan_for(k: int) -> FaultPlan:
-        return FaultPlan(
-            crash_after_event=k,
-            torn_write=torn_writes,
-            drop_wal_tail=(wal_tail == "drop"),
-            torn_wal_tail=(wal_tail == "torn"),
-        )
-
-    outcome = PointOutcome(event=event, second_event=second_event)
-    runner = RecoverableBulkDelete(
-        case.db, "R", "A", case.keys, case.log,
-        faults=FaultInjector(plan_for(event)),
-        full_page_writes=full_page_writes,
-        lanes=scenario.lanes, traffic=case.traffic,
-    )
-    try:
-        runner.run()
-    except SimulatedCrash as exc:
-        outcome.crash = str(exc)
-    if outcome.crash is None:
-        outcome.problems.append(f"no crash fired at durable event {event}")
-        return outcome
-
-    if second_event is not None:
-        # Crash the recovery run itself, then recover from *that*.
-        try:
-            recover(
-                case.db, case.log,
-                faults=FaultInjector(plan_for(second_event)),
-                full_page_writes=full_page_writes,
-            )
-        except SimulatedCrash:
-            pass
-
-    counting = FaultInjector()
-    rec_report = recover(
-        case.db, case.log, faults=counting,
-        full_page_writes=full_page_writes,
-    )
-    outcome.recovery_events = counting.durable_event_count
-    with_traffic = bool(case.traffic_order)
-    if with_traffic:
-        # Zero lost committed writes: checked before the top-up, so a
-        # write the top-up would re-submit cannot mask a lost one.
-        outcome.problems.extend(lost_user_writes(case.db, case.log))
-
-    def matches_oracle(state: Dict[str, TableState]) -> bool:
-        if with_traffic:
-            return logical_state(state) == logical_state(oracle)
-        return state == oracle
-
-    state = capture_state(case.db)
-    reissued = False
-    if not matches_oracle(state) and (
-        rec_report.abandoned or not rec_report.resumed
-    ):
-        # The statement never started (its begin record was the lost
-        # tail) or was abandoned before modifying anything; the client
-        # re-issues it — with its full traffic schedule.  Legitimate
-        # only from the pristine state.
-        if state == initial:
-            RecoverableBulkDelete(
-                case.db, "R", "A", case.keys, case.log,
-                lanes=scenario.lanes, traffic=case.traffic,
-            ).run()
-            state = capture_state(case.db)
-            reissued = True
-    if with_traffic and not reissued:
-        # Writes whose commit record died with the crash were never
-        # acknowledged; the client re-submits them (the oracle ran the
-        # full schedule, so the comparison needs them applied).
-        committed = sum(1 for _ in case.log.records("user_op"))
-        for write in case.traffic_order[committed:]:
-            apply_user_write(case.db, case.log, "R", write)
-        case.db.flush()
-        state = capture_state(case.db)
-    if not matches_oracle(state):
-        outcome.problems.append(
-            _diff_states(oracle, state)
-            if not with_traffic
-            else "logical state != oracle after recovery + re-submit"
-        )
-    outcome.problems.extend(
-        integrity_problems(case.db, case.registry, case.keys)
-    )
-    # Recovery must be terminal: a further restart finds nothing to do.
-    if recover(case.db, case.log).resumed:
-        outcome.problems.append(
-            "recovery is not terminal (a further recover() resumed)"
-        )
-    return outcome
-
-
-def _diff_states(
-    oracle: Dict[str, TableState], state: Dict[str, TableState]
-) -> str:
-    parts: List[str] = []
-    for name in sorted(set(oracle) | set(state)):
-        expected, actual = oracle.get(name), state.get(name)
-        if expected == actual:
-            continue
-        if expected is None or actual is None:
-            parts.append(f"{name}: present in only one state")
-            continue
-        e_rows, e_count, e_ix = expected
-        a_rows, a_count, a_ix = actual
-        if e_rows != a_rows:
-            missing = sum(1 for r in e_rows if r not in a_rows)
-            extra = sum(1 for r in a_rows if r not in e_rows)
-            parts.append(
-                f"{name}: rows differ ({missing} missing, {extra} extra)"
-            )
-        if e_count != a_count:
-            parts.append(f"{name}: record_count {a_count} != {e_count}")
-        for ix_name in sorted(set(e_ix) | set(a_ix)):
-            if e_ix.get(ix_name) != a_ix.get(ix_name):
-                parts.append(f"{name}.{ix_name}: index entries differ")
-    return "state != oracle: " + "; ".join(parts or ["(unlocated)"])

@@ -6,46 +6,39 @@ builds, manifest pages, superblock flips — is a durable event, and
 cutting the timeline after any one of them must leave a state that
 recovers to something between "delete not yet applied" and "delete
 fully applied", with nothing corrupted, nothing lost, and **no
-tombstoned row ever resurrected**.  The sweep turns that into a
-checked property, mirroring :func:`repro.faults.sweep.crash_sweep`:
+tombstoned row ever resurrected**.
 
-1. run the scenario's bulk delete **fault-free** under a counting
-   :class:`~repro.faults.injector.FaultInjector`, capturing the oracle
-   (surviving rows) and the durable event count N,
-2. for each chosen k in 1..N, rebuild the identical scenario, crash
-   right after durable event k (optionally tearing that very write),
-   :meth:`~repro.lsm.tree.LsmTree.recover`, and require:
+:func:`lsm_crash_sweep` hands :class:`LsmSweepScenario` to the sweep
+kernel (:mod:`repro.faults.kernel`).  The scenario's state has one unit
+per *key*, because tombstones are idempotent per key and the tree keeps
+no statement journal: :meth:`~repro.lsm.tree.LsmTree.recover` never
+carries the delete forward, so the kernel's re-issue rule applies at
+every point — a key whose row differs from the oracle's must show its
+byte-identical pre-delete image (no phantom, no corrupted row, no
+non-targeted row missing) — and the re-issued delete must land on the
+oracle.  On top of that the scenario requires:
 
-   * visible rows are exactly the pre-delete rows minus some subset of
-     the delete list — byte-identical payloads, no phantoms, no
-     non-targeted row missing;
-   * re-issuing the same delete (tombstones are idempotent) lands on
-     the oracle state;
-   * a full :meth:`~repro.lsm.tree.LsmTree.compact_all` — which drops
-     every tombstone — still shows the oracle state (deleted rows do
-     not come back when their tombstones are reclaimed);
-   * a second recovery is stable (recovery is terminal).
-
-Scenario builds are deterministic, so event k always lands on the
-same page write.
+* a full :meth:`~repro.lsm.tree.LsmTree.compact_all` — which drops
+  every tombstone — still shows the oracle state (deleted rows do not
+  come back when their tombstones are reclaimed);
+* a second recovery, from the compacted durable state, sees the
+  identical rows (recovery is terminal).
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.catalog.database import Database
 from repro.catalog.schema import Attribute, TableSchema
-from repro.errors import ReproError
+from repro.faults import kernel
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, SimulatedCrash
-from repro.faults.sweep import PointOutcome, SweepReport, _choose_points
+from repro.faults.kernel import SweepReport
 from repro.lsm.engine import lsm_bulk_delete
 from repro.lsm.tree import LsmConfig, LsmTree
-
-#: Row state: key -> full value tuple (the scan image).
-State = Dict[int, Tuple[object, ...]]
+from repro.media.retry import MediaRecovery
 
 
 @dataclass(frozen=True)
@@ -84,6 +77,13 @@ class LsmSweepScenario:
             max_delete_compactions=4,
         )
 
+    def rows(self) -> List[Tuple[int, str]]:
+        """The pre-delete image: bulk-loaded rows, then the trickle."""
+        n = self.records
+        return [(a, f"row{a}") for a in range(n)] + [
+            (n + i, f"late{i}") for i in range(self.trickle)
+        ]
+
     def build(self) -> "LsmSweepCase":
         db = Database(
             page_size=self.page_size,
@@ -97,9 +97,10 @@ class LsmSweepScenario:
             lsm_config=self.config(),
         )
         n = self.records
-        db.load_table("R", [(a, f"row{a}") for a in range(n)])
-        for i in range(self.trickle):
-            db.insert("R", (n + i, f"late{i}"))
+        rows = self.rows()
+        db.load_table("R", rows[:n])
+        for row in rows[n:]:
+            db.insert("R", row)
         block = list(range(self.block_start, self.block_start + self.block_len))
         # Scattered keys: a fixed stride walk over the tail keys keeps
         # the build free of RNG state while spreading points across
@@ -111,6 +112,62 @@ class LsmSweepScenario:
         points = tail[::step][: self.scattered]
         keys = block + points
         return LsmSweepCase(db=db, keys=keys)
+
+    def issue(
+        self,
+        case: "LsmSweepCase",
+        faults: Optional[FaultInjector],
+        media: Optional[MediaRecovery],
+    ) -> None:
+        armed = (
+            faults.armed(case.db.disk, pool=case.db.pool)
+            if faults is not None else nullcontext()
+        )
+        with armed:
+            lsm_bulk_delete(case.db, "R", "A", case.keys)
+
+    def restart(
+        self, case: "LsmSweepCase", faults: Optional[FaultInjector]
+    ) -> bool:
+        # Recover from durable state only and re-bind the catalog entry.
+        # The tree journals no statement, so nothing is ever carried
+        # forward: finishing the delete is the client's re-issue.
+        case.db.pool.invalidate_all()
+        table = case.db.table("R")
+        assert table.lsm is not None
+        table.lsm = LsmTree.recover(
+            case.db.pool, table.lsm.handle,
+            config=table.lsm.config, name="R",
+        )
+        return False
+
+    def state(self, case: "LsmSweepCase") -> kernel.State:
+        return {key: values for key, values in case.db.scan("R")}
+
+    def problems(
+        self, case: "LsmSweepCase", oracle: kernel.State
+    ) -> List[str]:
+        targeted = set(case.keys)
+        if oracle != {k: (k, v) for k, v in self.rows() if k not in targeted}:
+            return [
+                "fault-free LSM delete does not leave the set difference: "
+                f"{len(oracle)} rows"
+            ]
+        # Dropping every tombstone must not resurrect rows.
+        case.tree.compact_all()
+        state = self.state(case)
+        if state != oracle:
+            resurrected = sorted(set(state) - set(oracle))
+            return [
+                "compaction after recovery changed the visible state"
+                + (f"; resurrected keys {resurrected[:5]}" if resurrected else "")
+            ]
+        # Recovery is terminal — a further restart, now from the
+        # compacted durable state, sees the identical rows.
+        self.restart(case, None)
+        if self.state(case) != oracle:
+            return ["second recovery diverged (recovery is not terminal)"]
+        return []
 
 
 @dataclass
@@ -126,9 +183,6 @@ class LsmSweepCase:
         assert tree is not None
         return tree
 
-    def state(self) -> State:
-        return {key: values for key, values in self.db.scan("R")}
-
 
 def lsm_crash_sweep(
     scenario: Optional[LsmSweepScenario] = None,
@@ -138,121 +192,6 @@ def lsm_crash_sweep(
     """Sweep a crash over every (or ``max_points`` evenly spaced)
     durable event of the scenario's LSM bulk delete."""
     scenario = scenario or LsmSweepScenario()
-    say = log_fn or (lambda message: None)
-
-    # Pass 0: pre-delete image, oracle state, durable event count.
-    case = scenario.build()
-    before = case.state()
-    counter = FaultInjector()
-    with counter.armed(case.db.disk, pool=case.db.pool):
-        lsm_bulk_delete(case.db, "R", "A", case.keys)
-    oracle = case.state()
-    expected = {
-        key: values
-        for key, values in before.items()
-        if key not in set(case.keys)
-    }
-    if oracle != expected:
-        raise ReproError(
-            "fault-free LSM oracle run does not match the set "
-            f"difference: {len(oracle)} rows vs {len(expected)} expected"
-        )
-    report = SweepReport(durable_events=counter.durable_event_count)
-    report.points = _choose_points(counter.durable_event_count, max_points)
-    say(
-        f"lsm oracle: {len(case.keys)} keys deleted, "
-        f"{counter.durable_event_count} durable events; "
-        f"sweeping {len(report.points)} crash points"
-        + (" (torn page writes)" if scenario.torn else "")
+    return kernel.crash_sweep(
+        scenario, max_points, log_fn, torn_write=scenario.torn
     )
-    for k in report.points:
-        outcome = _run_lsm_point(scenario, k, before, oracle)
-        report.outcomes.append(outcome)
-        if not outcome.ok:
-            say(f"  event {k}: FAIL: {outcome.problems[0]}")
-    return report
-
-
-def _run_lsm_point(
-    scenario: LsmSweepScenario,
-    event: int,
-    before: State,
-    oracle: State,
-) -> PointOutcome:
-    case = scenario.build()
-    outcome = PointOutcome(event=event, second_event=None)
-    targeted = set(case.keys)
-    injector = FaultInjector(
-        FaultPlan(crash_after_event=event, torn_write=scenario.torn)
-    )
-    try:
-        with injector.armed(case.db.disk, pool=case.db.pool):
-            lsm_bulk_delete(case.db, "R", "A", case.keys)
-    except SimulatedCrash as exc:
-        outcome.crash = str(exc)
-    if outcome.crash is None:
-        outcome.problems.append(f"no crash fired at durable event {event}")
-        return outcome
-
-    # Recover from durable state only and re-bind the catalog entry.
-    table = case.db.table("R")
-    assert table.lsm is not None
-    table.lsm = LsmTree.recover(
-        case.db.pool, table.lsm.handle,
-        config=table.lsm.config, name="R",
-    )
-
-    # Invariant 1: the visible state is the pre-delete image minus some
-    # subset of the delete list — nothing corrupted, lost, or invented.
-    state = case.state()
-    for key, values in state.items():
-        if key not in before:
-            outcome.problems.append(
-                f"phantom row {key} appeared after recovery"
-            )
-        elif before[key] != values:
-            outcome.problems.append(
-                f"row {key} corrupted after recovery: "
-                f"{values!r} != {before[key]!r}"
-            )
-    for key in before:
-        if key not in state and key not in targeted:
-            outcome.problems.append(
-                f"non-targeted row {key} lost by the crash"
-            )
-    if outcome.problems:
-        return outcome
-
-    # Invariant 2: re-issuing the delete is idempotent and completes it.
-    lsm_bulk_delete(case.db, "R", "A", case.keys)
-    state = case.state()
-    if state != oracle:
-        outcome.problems.append(
-            f"re-issued delete missed the oracle: {len(state)} rows "
-            f"vs {len(oracle)}"
-        )
-        return outcome
-
-    # Invariant 3: dropping every tombstone must not resurrect rows.
-    case.tree.compact_all()
-    state = case.state()
-    if state != oracle:
-        resurrected = sorted(set(state) - set(oracle))
-        outcome.problems.append(
-            "compaction after recovery changed the visible state"
-            + (f"; resurrected keys {resurrected[:5]}" if resurrected else "")
-        )
-        return outcome
-
-    # Invariant 4: recovery is terminal — a further restart from the
-    # same durable state sees the identical rows.
-    case.db.pool.invalidate_all()
-    table.lsm = LsmTree.recover(
-        case.db.pool, case.tree.handle,
-        config=case.tree.config, name="R",
-    )
-    if case.state() != oracle:
-        outcome.problems.append(
-            "second recovery diverged (recovery is not terminal)"
-        )
-    return outcome

@@ -106,8 +106,10 @@ class MediaRecovery:
     ``image_sources`` is an ordered sequence of ``(label, source)``
     pairs; the label ("wal", "backup", ...) tags repair metrics and
     trace attributes.  Attach to a :class:`~repro.storage.buffer
-    .BufferPool` by assigning ``pool.media = recovery`` — every pool
-    miss then reads through :meth:`read`.
+    .BufferPool` for a block with ``with pool.attached(media=recovery):``
+    (or pass ``media=`` to a recoverable run, which does that) — every
+    pool miss inside it reads through :meth:`read`, and the previous
+    hook is back on exit even when the block raises.
     """
 
     def __init__(

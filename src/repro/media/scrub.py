@@ -134,7 +134,7 @@ def scrub_database(
                 report.unrepaired.append(page_id)
         if check_structures:
             try:
-                report.problems.extend(_reconcile(db))
+                report.problems.extend(reconcile_structures(db))
             except MediaError as exc:
                 # With no media layer to heal a damaged page, the scan
                 # underneath reconciliation dies on it; the sweep above
@@ -193,7 +193,7 @@ def require_scrubbed(
 # ----------------------------------------------------------------------
 # cross-reconciliation
 # ----------------------------------------------------------------------
-def _reconcile(db: Any, limit: int = 20) -> List[str]:
+def reconcile_structures(db: Any, limit: int = 20) -> List[str]:
     """Heap <-> index <-> count disagreements, all tables, both index
     kinds.  Self-contained (no oracle): the structures are checked
     against *each other*, which is all an online scrubber can do."""
@@ -204,6 +204,12 @@ def _reconcile(db: Any, limit: int = 20) -> List[str]:
             problems.append(message)
 
     for table in db.catalog.tables():
+        if table.lsm is not None or table.is_sharded:
+            # Nothing to reconcile: an LSM table's catalog heap is
+            # legitimately empty and it has no secondary structures; a
+            # sharded logical entry owns no pages (its shard tables are
+            # catalog entries of their own, checked one by one).
+            continue
         table_name = table.schema.name
         rows = list(db.scan(table_name))
         if table.heap.record_count != len(rows):

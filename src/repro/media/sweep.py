@@ -1,105 +1,35 @@
 """Exhaustive media-fault sweep: every page x every read-fault kind.
 
 The analogue of :func:`repro.faults.sweep.crash_point_sweep` for media
-failures.  On the same deterministic scenario:
+failures, on the same deterministic scenario.  :func:`media_sweep`
+hands the recoverable bulk delete (with full-page-write logging, so
+the WAL can repair what it touched) to the sweep kernel's media
+skeleton (:func:`repro.faults.kernel.media_sweep`), which arms every
+read-fault kind (transient / latent / stuck) on every live
+pre-statement page and requires one of exactly two outcomes:
 
-1. run the recoverable bulk delete **fault-free**, capturing the
-   pre-statement state and the *oracle* end state,
-2. for every live pre-statement page p and every read-fault kind
-   (transient / latent / stuck), rebuild the identical scenario, arm a
-   :class:`~repro.faults.injector.FaultInjector` whose plan targets p,
-   attach a :class:`~repro.media.retry.MediaRecovery` to the buffer
-   pool, and run the statement,
-3. require one of exactly two outcomes:
-
-   * **healed** — the statement completes; a post-run scrub heals any
-     still-damaged pages the statement never touched; the final state
-     is bit-equivalent to the oracle and internally consistent, or
-   * **aborted** — a typed :class:`~repro.errors.MediaError` escapes
-     *before the statement modified anything* (stuck bits are caught by
-     the ``require_scrubbed`` gate, which quarantines the page); the
-     database still equals its pre-statement image, and after the
-     operator "replaces the medium" (``restore_page`` from backup) a
-     fault-free re-run reaches the oracle.
-
-The per-point repair sources mirror a real deployment: the WAL's
-full-page-write images first, then a backup taken of the pre-statement
-durable image.  WAL images are safe here because a pool miss reads a
-page before its frame can be dirtied, so a mid-statement repair always
-happens before the statement's own modifications to that page (see
-:mod:`repro.media.retry`).
+* **healed** — the statement completes; a post-run scrub heals any
+  still-damaged pages the statement never touched; the final state is
+  bit-equivalent to the oracle and internally consistent, or
+* **aborted** — a typed :class:`~repro.errors.MediaError` escapes
+  *before the statement modified anything* (stuck bits are caught by
+  the ``require_scrubbed`` gate, which quarantines the page); the
+  database still equals its pre-statement image, and after the
+  operator "replaces the medium" (``restore_page`` from backup) a
+  fault-free re-run reaches the oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
-from repro.errors import MediaError, QuarantinedPage, ReproError
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import READ_FAULT_KINDS, STUCK, FaultPlan
-from repro.faults.sweep import (
-    SweepScenario,
-    _choose_points,
-    capture_state,
-    integrity_problems,
-)
-from repro.media.retry import MediaPolicy, MediaRecovery, wal_image_source
-from repro.media.scrub import require_scrubbed, scrub_database
-from repro.recovery.restart import RecoverableBulkDelete
+from repro.faults import kernel
+from repro.faults.kernel import MediaPointOutcome, MediaSweepReport
+from repro.faults.plan import READ_FAULT_KINDS
+from repro.faults.sweep import RecoverableStatement, SweepScenario
+from repro.media.retry import MediaPolicy
 
-
-@dataclass
-class MediaPointOutcome:
-    """One (page, fault kind) run of the sweep."""
-
-    page_id: int
-    kind: str
-    #: ``"healed"`` or ``"aborted"``.
-    outcome: str = ""
-    #: Exception class name for aborted points.
-    aborted_with: Optional[str] = None
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-@dataclass
-class MediaSweepReport:
-    """Everything a media sweep did and found."""
-
-    #: Live pages in the pre-statement durable image.
-    durable_pages: int = 0
-    #: The page ids actually swept (all, or evenly sampled).
-    pages: List[int] = field(default_factory=list)
-    outcomes: List[MediaPointOutcome] = field(default_factory=list)
-
-    @property
-    def failures(self) -> List[MediaPointOutcome]:
-        return [o for o in self.outcomes if not o.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        healed = sum(1 for o in self.outcomes if o.outcome == "healed")
-        aborted = sum(1 for o in self.outcomes if o.outcome == "aborted")
-        kinds = len({o.kind for o in self.outcomes}) or 1
-        lines = [
-            f"durable pages: {self.durable_pages}; points swept: "
-            f"{len(self.outcomes)} ({len(self.pages)} pages x "
-            f"{kinds} kinds); healed: {healed}; "
-            f"clean aborts: {aborted}; failures: {len(self.failures)}"
-        ]
-        for outcome in self.failures[:10]:
-            lines.append(
-                f"  FAIL page {outcome.page_id} ({outcome.kind}): "
-                f"{outcome.problems[0]}"
-            )
-        return "\n".join(lines)
+__all__ = ["MediaPointOutcome", "MediaSweepReport", "media_sweep"]
 
 
 def media_sweep(
@@ -110,173 +40,7 @@ def media_sweep(
 ) -> MediaSweepReport:
     """Sweep every read-fault kind over every (or ``max_points`` evenly
     sampled) pre-statement page of the scenario's bulk delete."""
-    scenario = scenario or SweepScenario()
-    say = log_fn or (lambda message: None)
-
-    # Pass 0: pre-statement pages + state, fault-free oracle state.
-    case = scenario.build()
-    pages = case.db.disk.page_ids()
-    initial = capture_state(case.db)
-    RecoverableBulkDelete(
-        case.db, "R", "A", case.keys, case.log,
-        full_page_writes=True, lanes=scenario.lanes,
-    ).run()
-    oracle = capture_state(case.db)
-    oracle_problems = integrity_problems(case.db, case.registry, case.keys)
-    if oracle_problems:
-        raise ReproError(
-            "fault-free oracle run is already inconsistent: "
-            + "; ".join(oracle_problems)
-        )
-
-    report = MediaSweepReport(durable_pages=len(pages))
-    report.pages = [
-        pages[i - 1] for i in _choose_points(len(pages), max_points)
-    ]
-    say(
-        f"oracle: {len(pages)} durable pages; sweeping "
-        f"{len(report.pages)} of them x {len(READ_FAULT_KINDS)} "
-        f"fault kinds"
+    return kernel.media_sweep(
+        RecoverableStatement(scenario or SweepScenario(), True),
+        READ_FAULT_KINDS, max_points, log_fn, policy,
     )
-    for kind in READ_FAULT_KINDS:
-        for page_id in report.pages:
-            outcome = _run_media_point(
-                scenario, page_id, kind, initial, oracle, policy
-            )
-            report.outcomes.append(outcome)
-            if not outcome.ok:
-                say(
-                    f"  page {page_id} ({kind}): FAIL: "
-                    f"{outcome.problems[0]}"
-                )
-    return report
-
-
-def _run_media_point(
-    scenario: SweepScenario,
-    page_id: int,
-    kind: str,
-    initial: Dict,
-    oracle: Dict,
-    policy: Optional[MediaPolicy],
-) -> MediaPointOutcome:
-    outcome = MediaPointOutcome(page_id=page_id, kind=kind)
-    case = scenario.build()
-    db, log = case.db, case.log
-    disk = db.disk
-    # The operator's backup: the pre-statement durable image of every
-    # page (taken before the injector arms and corrupts anything).
-    backup = {pid: disk.durable_image(pid) for pid in disk.page_ids()}
-    injector = FaultInjector(
-        FaultPlan(read_fault=kind, read_fault_page=page_id)
-    )
-    media = MediaRecovery(
-        disk,
-        policy=policy,
-        image_sources=[
-            ("wal", wal_image_source(log)),
-            ("backup", backup.get),
-        ],
-    )
-    db.pool.media = media
-    try:
-        # Arming applies at-rest corruption for latent/stuck plans.
-        with injector.armed(disk, pool=db.pool, log=log):
-            try:
-                if kind == STUCK:
-                    # The amcheck gate: genuinely bad media must fail
-                    # the statement before it can modify anything.
-                    # (Transient and latent points skip the gate — the
-                    # mid-statement retry/repair path must heal them.)
-                    require_scrubbed(db, media=media,
-                                     check_structures=False)
-                RecoverableBulkDelete(
-                    db, "R", "A", case.keys, log,
-                    full_page_writes=True, lanes=scenario.lanes,
-                ).run()
-            except MediaError as exc:
-                return _verify_clean_abort(
-                    case, injector, backup, page_id, exc, initial,
-                    oracle, outcome,
-                )
-            # Healed path: the statement completed.  Pages it never
-            # read may still be damaged; the scrubber must finish the
-            # job online.
-            outcome.outcome = "healed"
-            post = scrub_database(db, media=media)
-            if not post.ok:
-                outcome.problems.append(
-                    "post-run scrub could not heal the database: "
-                    + post.summary()
-                )
-    finally:
-        db.pool.media = None
-    state = capture_state(db)
-    if state != oracle:
-        outcome.problems.append(
-            f"healed state != oracle (page {page_id}, {kind})"
-        )
-    outcome.problems.extend(
-        integrity_problems(db, case.registry, case.keys)
-    )
-    return outcome
-
-
-def _verify_clean_abort(
-    case,
-    injector: FaultInjector,
-    backup: Dict[int, bytes],
-    page_id: int,
-    exc: MediaError,
-    initial: Dict,
-    oracle: Dict,
-    outcome: MediaPointOutcome,
-) -> MediaPointOutcome:
-    """An abort is acceptable only if it is typed, names the faulty
-    page, fenced it off, and modified nothing — and a fault-free re-run
-    after media replacement reaches the oracle."""
-    outcome.outcome = "aborted"
-    outcome.aborted_with = type(exc).__name__
-    db = case.db
-    disk = db.disk
-    if not isinstance(exc, QuarantinedPage):
-        outcome.problems.append(
-            f"abort raised {type(exc).__name__}, expected QuarantinedPage"
-        )
-    if exc.page_id != page_id:
-        outcome.problems.append(
-            f"abort names page {exc.page_id}, expected {page_id}"
-        )
-    if disk.quarantined != {page_id}:
-        outcome.problems.append(
-            f"quarantined set is {sorted(disk.quarantined)}, "
-            f"expected [{page_id}]"
-        )
-    if any(True for _ in case.log.records("bulk_begin")):
-        outcome.problems.append(
-            "statement started before the abort (bulk_begin logged); "
-            "modifications may have been lost"
-        )
-    # The abort must have left the pre-statement image intact modulo
-    # the injected damage itself; replace the medium and check.
-    disk.restore_page(page_id, backup[page_id])
-    injector.disarm()
-    db.pool.media = None
-    if capture_state(db) != initial:
-        outcome.problems.append(
-            "abort was not clean: state != pre-statement image after "
-            "media replacement"
-        )
-        return outcome
-    # The client's contract after an abort: fix the medium, re-issue.
-    RecoverableBulkDelete(
-        db, "R", "A", case.keys, case.log, full_page_writes=True,
-    ).run()
-    if capture_state(db) != oracle:
-        outcome.problems.append(
-            "re-issued statement after media replacement != oracle"
-        )
-    outcome.problems.extend(
-        integrity_problems(db, case.registry, case.keys)
-    )
-    return outcome

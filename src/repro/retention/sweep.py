@@ -1,55 +1,41 @@
-"""Exhaustive fault sweep over the retention subsystem.
+"""Fault sweeps over the retention subsystem.
 
-The retention analogue of :func:`repro.faults.sweep.crash_point_sweep`,
-upgraded with the erasure property:
+The scenario is a **two-policy** retention run — a GDPR-style subject
+erasure cascading from a heap root across CASCADE, SET NULL and (clean)
+RESTRICT edges into heap *and* LSM children, plus an age-expiry policy
+over a child table.  :func:`retention_sweep` and
+:func:`retention_media_sweep` hand it to the sweep kernel
+(:mod:`repro.faults.kernel`) as one journaled run: the whole database
+is a single unit of state, restart is :func:`recover_retention`, and on
+top of oracle equality every point must pass the internal-consistency
+walk *and* a **zero-finding erasure audit**.  The media pass arms a
+transient read fault per durable page with
+:class:`~repro.media.retry.MediaRecovery` attached; the run must heal
+mid-policy.
 
-1. run a **two-policy** retention scenario fault-free — a GDPR-style
-   subject erasure cascading from a heap root across CASCADE, SET NULL
-   and (clean) RESTRICT edges into heap *and* LSM children, plus an
-   age-expiry policy over a child table — capturing the oracle state,
-   the durable-event count, and a **zero-finding erasure audit**,
-2. for each swept durable event k, rebuild the identical scenario,
-   crash right after event k, run :func:`recover_retention`, and
-   require state == oracle, internal consistency, a clean audit, *and*
-   a terminal second recovery,
-3. media pass: for each swept durable page, rebuild, arm a transient
-   read fault on it with :class:`~repro.media.retry.MediaRecovery`
-   attached, and require the run to heal mid-policy and still reach
-   the oracle with a clean audit,
-4. mutation pass (:func:`audit_mutation_checks`): plant a stale index
-   entry, a retained WAL full-page image, an undropped LSM tombstone,
-   and a stale freed-page payload into an otherwise clean end state —
-   each plant must produce at least one audit finding in the expected
-   location, proving the audit is not vacuously green.
+The mutation pass (:func:`audit_mutation_checks`) is not a sweep: it
+plants a stale index entry, a retained WAL full-page image, an undropped
+LSM tombstone, and a stale freed-page payload into an otherwise clean
+end state — each plant must produce at least one audit finding in the
+expected location, proving the audit is not vacuously green.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional, Tuple
 
-from repro.btree.maintenance import validate_tree
 from repro.catalog.database import Database
 from repro.catalog.schema import Attribute, TableSchema
-from repro.core.integrity import (
-    ConstraintRegistry,
-    OnDelete,
-    SET_NULL_VALUE,
-    find_referencing_keys,
-)
+from repro.core.integrity import ConstraintRegistry, OnDelete
 from repro.errors import ReproError
+from repro.faults import kernel
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import TRANSIENT, FaultPlan, SimulatedCrash
-from repro.faults.sweep import (
-    PointOutcome,
-    SweepReport,
-    TableState,
-    _choose_points,
-    capture_state,
-)
-from repro.media.retry import MediaRecovery, wal_image_source
-from repro.media.sweep import MediaPointOutcome, MediaSweepReport
+from repro.faults.kernel import MediaSweepReport, SweepReport
+from repro.faults.plan import TRANSIENT
+from repro.faults.sweep import capture_state, integrity_problems
+from repro.media.retry import MediaRecovery
 from repro.recovery.wal import WriteAheadLog
 from repro.retention.audit import ErasureWitness, audit_erasure, build_witness
 from repro.retention.policy import (
@@ -217,107 +203,69 @@ class RetentionCase:
         return build_witness(plans, patterns=self.patterns)
 
 
-def retention_integrity_problems(
-    db: Database,
-    registry: ConstraintRegistry,
-    deleted_keys: List[int],
-    limit: int = 20,
-) -> List[str]:
-    """LSM-aware internal-consistency check for the retention scenario.
-
-    Mirrors :func:`repro.faults.sweep.integrity_problems` for heap
-    tables; LSM tables are checked through their own scan/count API
-    (their catalog heap is legitimately empty).  SET NULL children are
-    allowed to hold ``SET_NULL_VALUE``, never a deleted parent key.
-    """
-    problems: List[str] = []
-
-    def note(message: str) -> None:
-        if len(problems) < limit:
-            problems.append(message)
-
-    for table in db.catalog.tables():
-        table_name = table.schema.name
-        actual = list(db.scan(table_name))
-        if table.lsm is not None:
-            if table.lsm.tombstone_count and not table.lsm.memtable.entries:
-                note(f"{table_name}: undropped run tombstones remain")
-            continue
-        if table.heap.record_count != len(actual):
-            note(
-                f"{table_name}: heap record_count "
-                f"{table.heap.record_count} != {len(actual)} scanned rows"
-            )
-        for name, ix in sorted(table.indexes.items()):
-            if not ix.is_btree:
-                continue
-            try:
-                validate_tree(ix.tree)
-            except ReproError as exc:
-                note(f"{table_name}.{name}: structural: {exc}")
-                continue
-            items = list(ix.tree.items())
-            if ix.tree.entry_count != len(items):
-                note(
-                    f"{table_name}.{name}: entry_count "
-                    f"{ix.tree.entry_count} != {len(items)} entries"
-                )
-            expected = sorted(
-                (ix.key_for(values, table.schema), rid.pack())
-                for rid, values in actual
-            )
-            if sorted(items) != expected:
-                note(
-                    f"{table_name}.{name}: {len(items)} entries do not "
-                    f"match the {len(actual)} heap rows"
-                )
-    for fk in registry.all_constraints():
-        if fk.on_delete is OnDelete.SET_NULL:
-            refs = find_referencing_keys(db, fk, deleted_keys)
-            if refs:
-                note(
-                    f"fk {fk.describe()}: {len(refs)} un-nulled "
-                    "references to deleted parent keys"
-                )
-            continue
-        refs = find_referencing_keys(db, fk, deleted_keys)
-        if refs:
-            note(
-                f"fk {fk.describe()}: {len(refs)} references to "
-                "deleted parent keys"
-            )
-    return problems
+#: The heap/index/FK walk under its retention-era name: LSM tables and
+#: SET NULL children are branches of the one implementation.
+retention_integrity_problems = integrity_problems
 
 
-def _issue_run(
-    case: RetentionCase,
-    plans: List[RetentionPlan],
-    faults: Optional[FaultInjector] = None,
-    media: Optional[MediaRecovery] = None,
-):
-    return RecoverableRetentionRun(
-        case.db, plans, case.log,
-        faults=faults, full_page_writes=True, media=media,
-    ).run()
+@dataclass
+class _Run:
+    """One built case plus the plans compiled against its pre-run
+    state (compiling later would resolve keys the run already erased)."""
+
+    case: RetentionCase
+    plans: List[RetentionPlan]
+
+    @property
+    def db(self) -> Database:
+        return self.case.db
+
+    @property
+    def log(self) -> WriteAheadLog:
+        return self.case.log
 
 
-def _point_problems(
-    case: RetentionCase,
-    plans: List[RetentionPlan],
-    oracle: Dict[str, TableState],
-) -> List[str]:
-    """The retention acceptance predicate for one recovered point."""
-    problems: List[str] = []
-    state = capture_state(case.db)
-    if state != oracle:
-        problems.append("state != oracle after recovery")
-    problems.extend(
-        retention_integrity_problems(case.db, case.registry, case.victims)
-    )
-    audit = audit_erasure(case.db, case.log, case.witness(plans))
-    for finding in audit.findings[:5]:
-        problems.append(f"audit: {finding.describe()}")
-    return problems
+@dataclass(frozen=True)
+class _JournaledRun:
+    """The scenario's retention run as the kernel sees it."""
+
+    scenario: RetentionScenario
+
+    def build(self) -> _Run:
+        case = self.scenario.build()
+        return _Run(case, case.compile())
+
+    def issue(
+        self,
+        run: _Run,
+        faults: Optional[FaultInjector],
+        media: Optional[MediaRecovery],
+    ) -> None:
+        RecoverableRetentionRun(
+            run.db, run.plans, run.log,
+            faults=faults, full_page_writes=True, media=media,
+        ).run()
+
+    def restart(self, run: _Run, faults: Optional[FaultInjector]) -> bool:
+        # A run whose begin record died with the crash resumes nothing
+        # and is re-issued whole; so does a crash right after the final
+        # ``retention_end`` append, but then the state is the oracle.
+        return recover_retention(
+            run.db, run.log, full_page_writes=True
+        ).resumed
+
+    def state(self, run: _Run) -> kernel.State:
+        # One unit: the journal makes the run atomic across its tables.
+        return {"database": capture_state(run.db)}
+
+    def problems(self, run: _Run, oracle: kernel.State) -> List[str]:
+        problems = integrity_problems(
+            run.db, run.case.registry, run.case.victims
+        )
+        audit = audit_erasure(run.db, run.log, run.case.witness(run.plans))
+        for finding in audit.findings[:5]:
+            problems.append(f"audit: {finding.describe()}")
+        return problems
 
 
 def retention_sweep(
@@ -327,75 +275,9 @@ def retention_sweep(
 ) -> SweepReport:
     """Crash at every (or ``max_points`` evenly spaced) durable event
     of the two-policy run; recover, resume, and audit."""
-    scenario = scenario or RetentionScenario()
-    say = log_fn or (lambda message: None)
-
-    case = scenario.build()
-    plans = case.compile()
-    initial = capture_state(case.db)
-    counter = FaultInjector()
-    _issue_run(case, plans, faults=counter)
-    oracle = capture_state(case.db)
-    oracle_problems = _point_problems(case, plans, oracle)
-    if oracle_problems:
-        raise ReproError(
-            "fault-free oracle run is already failing: "
-            + "; ".join(oracle_problems)
-        )
-
-    report = SweepReport(durable_events=counter.durable_event_count)
-    report.points = _choose_points(counter.durable_event_count, max_points)
-    say(
-        f"oracle: {counter.durable_event_count} durable events; "
-        f"sweeping {len(report.points)} crash points"
+    return kernel.crash_sweep(
+        _JournaledRun(scenario or RetentionScenario()), max_points, log_fn
     )
-    for k in report.points:
-        outcome = _run_crash_point(scenario, k, initial, oracle)
-        report.outcomes.append(outcome)
-        if not outcome.ok:
-            say(f"  event {k}: FAIL: {outcome.problems[0]}")
-    return report
-
-
-def _run_crash_point(
-    scenario: RetentionScenario,
-    event: int,
-    initial: Dict[str, TableState],
-    oracle: Dict[str, TableState],
-) -> PointOutcome:
-    outcome = PointOutcome(event=event, second_event=None)
-    case = scenario.build()
-    plans = case.compile()
-    try:
-        _issue_run(
-            case, plans,
-            faults=FaultInjector(FaultPlan(crash_after_event=event)),
-        )
-    except SimulatedCrash as exc:
-        outcome.crash = str(exc)
-    if outcome.crash is None:
-        outcome.problems.append(f"no crash fired at durable event {event}")
-        return outcome
-
-    recovery = recover_retention(case.db, case.log, full_page_writes=True)
-    if not recovery.resumed and capture_state(case.db) != oracle:
-        # The begin record died with the crash: nothing durable started,
-        # so the client re-issues the whole run — legitimate only from
-        # the pristine pre-run state.  (A crash right after the final
-        # ``retention_end`` append also resumes nothing: the run is
-        # simply complete, and the oracle comparison above covers it.)
-        if capture_state(case.db) != initial:
-            outcome.problems.append(
-                "run never began, yet the state is not pristine"
-            )
-            return outcome
-        _issue_run(case, case.compile())
-    outcome.problems.extend(_point_problems(case, plans, oracle))
-    if recover_retention(case.db, case.log).resumed:
-        outcome.problems.append(
-            "recovery is not terminal (a further recover resumed)"
-        )
-    return outcome
 
 
 def retention_media_sweep(
@@ -406,87 +288,87 @@ def retention_media_sweep(
     """Transient-fault every (or ``max_points`` sampled) pre-run durable
     page mid-policy; the run must heal through MediaRecovery's bounded
     retry/backoff and still reach the oracle with a clean audit."""
-    scenario = scenario or RetentionScenario()
-    say = log_fn or (lambda message: None)
-
-    case = scenario.build()
-    plans = case.compile()
-    pages = case.db.disk.page_ids()
-    _issue_run(case, plans)
-    oracle = capture_state(case.db)
-    oracle_problems = _point_problems(case, plans, oracle)
-    if oracle_problems:
-        raise ReproError(
-            "fault-free oracle run is already failing: "
-            + "; ".join(oracle_problems)
-        )
-
-    report = MediaSweepReport(durable_pages=len(pages))
-    report.pages = [
-        pages[i - 1] for i in _choose_points(len(pages), max_points)
-    ]
-    say(
-        f"oracle: {len(pages)} durable pages; transient-faulting "
-        f"{len(report.pages)} of them"
+    return kernel.media_sweep(
+        _JournaledRun(scenario or RetentionScenario()),
+        (TRANSIENT,), max_points, log_fn,
     )
-    for page_id in report.pages:
-        outcome = MediaPointOutcome(page_id=page_id, kind=TRANSIENT)
-        point = scenario.build()
-        point_plans = point.compile()
-        media = MediaRecovery(
-            point.db.disk,
-            image_sources=[("wal", wal_image_source(point.log))],
-        )
-        try:
-            _issue_run(
-                point, point_plans,
-                faults=FaultInjector(FaultPlan(
-                    read_fault=TRANSIENT, read_fault_page=page_id,
-                )),
-                media=media,
-            )
-            outcome.outcome = "healed"
-        except ReproError as exc:
-            outcome.problems.append(
-                f"run did not heal a transient fault: {exc}"
-            )
-        if not outcome.problems:
-            outcome.problems.extend(
-                _point_problems(point, point_plans, oracle)
-            )
-        report.outcomes.append(outcome)
-        if not outcome.ok:
-            say(f"  page {page_id}: FAIL: {outcome.problems[0]}")
-    return report
 
 
 # ----------------------------------------------------------------------
 # audit mutation tests: the audit must catch planted traces
 # ----------------------------------------------------------------------
+def _plant_index_entry(case: RetentionCase) -> None:
+    # A stale B-tree entry for an erased user, as if one leaf delete
+    # had been lost.
+    ix = case.db.table("users").indexes["I_users_UID"]
+    ix.tree.insert(case.victims[0], 7)  # type: ignore[union-attr]
+
+
+def _plant_wal_image(case: RetentionCase) -> None:
+    # A retained pre-delete full-page image: overwrite one redacted
+    # image with bytes still holding a victim's SECRET payload.
+    for record in case.log.records("page_image"):
+        image = bytearray(record.payload["image"])
+        secret = f"S{case.victims[0]}!".encode()
+        image[64:64 + len(secret)] = secret
+        record.payload["image"] = bytes(image)
+        return
+    raise ReproError("scenario produced no page_image records")
+
+
+def _plant_lsm_tombstone(case: RetentionCase) -> None:
+    # An undropped tombstone still *naming* the erased key.
+    lsm = case.db.table("events").lsm
+    assert lsm is not None
+    lsm.delete(case.victims[0])
+
+
+def _plant_freed_page(case: RetentionCase) -> None:
+    # Stale victim bytes resurfacing on a freed-but-retained page, as
+    # if the erase pass had skipped the shred.
+    disk = case.db.disk
+    freed = disk.freed_page_ids()
+    if not freed:
+        raise ReproError("scenario freed no pages")
+    image = bytearray(disk.page_size)
+    secret = f"S{case.victims[0]}!".encode()
+    image[32:32 + len(secret)] = secret
+    disk.corrupt_page(freed[0], bytes(image))
+
+
+#: ``(label, plant, audit location that must report it)`` per check.
+AUDIT_MUTATIONS: Tuple[
+    Tuple[str, Callable[[RetentionCase], None], str], ...
+] = (
+    ("stale index entry", _plant_index_entry, "btree"),
+    ("retained WAL image", _plant_wal_image, "wal-image"),
+    ("undropped LSM tombstone", _plant_lsm_tombstone, "lsm"),
+    ("unshredded freed page", _plant_freed_page, "freed-page"),
+)
+
+
 def audit_mutation_checks(
     scenario: Optional[RetentionScenario] = None,
     log_fn: Optional[Callable[[str], None]] = None,
 ) -> List[str]:
     """Prove the audit non-vacuous: each planted stale trace must be
     caught, in the expected location.  Returns failure strings."""
-    scenario = scenario or RetentionScenario()
+    definition = _JournaledRun(scenario or RetentionScenario())
     say = log_fn or (lambda message: None)
     failures: List[str] = []
-
-    def check(label: str, plant: Callable[[RetentionCase], None],
-              location: str) -> None:
-        case = scenario.build()
-        plans = case.compile()
-        _issue_run(case, plans)
-        baseline = audit_erasure(case.db, case.log, case.witness(plans))
+    for label, plant, location in AUDIT_MUTATIONS:
+        run = definition.build()
+        definition.issue(run, None, None)
+        case, witness = run.case, run.case.witness(run.plans)
+        baseline = audit_erasure(case.db, case.log, witness)
         if not baseline.ok:
             failures.append(
                 f"{label}: baseline audit already dirty: "
                 + baseline.findings[0].describe()
             )
-            return
+            continue
         plant(case)
-        audit = audit_erasure(case.db, case.log, case.witness(plans))
+        audit = audit_erasure(case.db, case.log, witness)
         hits = [f for f in audit.findings if f.location == location]
         if hits:
             say(f"  {label}: caught ({hits[0].describe()})")
@@ -495,44 +377,4 @@ def audit_mutation_checks(
                 f"{label}: planted trace not detected (findings: "
                 f"{[f.location for f in audit.findings]})"
             )
-
-    def plant_index_entry(case: RetentionCase) -> None:
-        # A stale B-tree entry for an erased user, as if one leaf
-        # delete had been lost.
-        ix = case.db.table("users").indexes["I_users_UID"]
-        ix.tree.insert(case.victims[0], 7)  # type: ignore[union-attr]
-
-    def plant_wal_image(case: RetentionCase) -> None:
-        # A retained pre-delete full-page image: overwrite one redacted
-        # image with bytes still holding a victim's SECRET payload.
-        for record in case.log.records("page_image"):
-            image = bytearray(record.payload["image"])
-            secret = f"S{case.victims[0]}!".encode()
-            image[64:64 + len(secret)] = secret
-            record.payload["image"] = bytes(image)
-            return
-        raise ReproError("scenario produced no page_image records")
-
-    def plant_lsm_tombstone(case: RetentionCase) -> None:
-        # An undropped tombstone still *naming* the erased key.
-        lsm = case.db.table("events").lsm
-        assert lsm is not None
-        lsm.delete(case.victims[0])
-
-    def plant_freed_page(case: RetentionCase) -> None:
-        # Stale victim bytes resurfacing on a freed-but-retained page,
-        # as if the erase pass had skipped the shred.
-        disk = case.db.disk
-        freed = disk.freed_page_ids()
-        if not freed:
-            raise ReproError("scenario freed no pages")
-        image = bytearray(disk.page_size)
-        secret = f"S{case.victims[0]}!".encode()
-        image[32:32 + len(secret)] = secret
-        disk.corrupt_page(freed[0], bytes(image))
-
-    check("stale index entry", plant_index_entry, "btree")
-    check("retained WAL image", plant_wal_image, "wal-image")
-    check("undropped LSM tombstone", plant_lsm_tombstone, "lsm")
-    check("unshredded freed page", plant_freed_page, "freed-page")
     return failures

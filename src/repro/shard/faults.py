@@ -4,24 +4,22 @@ A sharded bulk delete that must survive crashes runs as a *sequence*
 of shard-local recoverable statements on one shared WAL — each shard's
 statement begins, sweeps its own structures, and commits before the
 next shard starts, so at most one statement is ever open and a crash
-loses at most one shard's progress.  The sweep turns that claim into a
-checked property, exactly like :mod:`repro.faults.sweep` does for the
-single-table statement:
+loses at most one shard's progress.
 
-1. run the whole multi-shard sequence **fault-free** with one counting
-   :class:`~repro.faults.injector.FaultInjector` shared across the
-   statements — ``arm()`` never resets the event log, so durable
-   events are numbered globally across the sweep — capturing the
-   oracle state and the total event count N,
-2. for each chosen k in 1..N, rebuild the identical scenario, crash
-   right after global durable event k (which lands inside some shard's
-   statement), :func:`~repro.recovery.restart.recover`, re-issue the
-   statements that verifiably never started (the client's contract),
-   and require oracle equivalence + internal consistency + terminal
-   recovery.
+:func:`shard_crash_sweep` hands :class:`ShardSweepScenario` to the
+sweep kernel (:mod:`repro.faults.kernel`).  What is specific to the
+sequence:
 
-Scenario builds are deterministic, so global event k always lands on
-the same write of the same shard's statement.
+* one :class:`~repro.faults.injector.FaultInjector` spans all the
+  statements — ``arm()`` never resets the event log, so durable events
+  are numbered *globally* and event k lands inside some shard's
+  statement, the same one on every build,
+* the state has one unit per physical shard table (shards share
+  nothing), so the kernel's re-issue rule judges the interrupted
+  statement on its own shard while the shards already committed sit at
+  their oracle value,
+* statements queued behind the interrupted one never began; the client
+  issues them as on a fresh run as soon as the database is back up.
 """
 
 from __future__ import annotations
@@ -32,17 +30,11 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.catalog.database import Database
 from repro.catalog.schema import Attribute, TableSchema
-from repro.errors import ReproError
+from repro.faults import kernel
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, SimulatedCrash
-from repro.faults.sweep import (
-    PointOutcome,
-    SweepReport,
-    _choose_points,
-    _diff_states,
-    capture_state,
-    integrity_problems,
-)
+from repro.faults.kernel import SweepReport
+from repro.faults.sweep import capture_state, integrity_problems
+from repro.media.retry import MediaRecovery
 from repro.recovery.restart import RecoverableBulkDelete, recover
 from repro.recovery.wal import WriteAheadLog
 from repro.shard.map import ShardMap
@@ -103,6 +95,42 @@ class ShardSweepScenario:
             statements=statements,
         )
 
+    def issue(
+        self,
+        case: "ShardSweepCase",
+        faults: Optional[FaultInjector],
+        media: Optional[MediaRecovery],
+    ) -> None:
+        while case.statements:
+            table_name, frag_keys = case.statements[0]
+            RecoverableBulkDelete(
+                case.db, table_name, "A", frag_keys, case.log, faults=faults
+            ).run()
+            del case.statements[0]
+
+    def restart(
+        self, case: "ShardSweepCase", faults: Optional[FaultInjector]
+    ) -> bool:
+        report = recover(case.db, case.log)
+        carried = report.resumed and not report.abandoned
+        # The interrupted statement is the kernel's to judge (finished
+        # by recovery, or re-issued from its pristine shard); the ones
+        # queued behind it never began, so no rule applies to them.
+        interrupted = case.statements[:1]
+        del case.statements[:1]
+        self.issue(case, None, None)
+        if not carried:
+            case.statements.extend(interrupted)
+        return carried
+
+    def state(self, case: "ShardSweepCase") -> kernel.State:
+        return capture_state(case.db)
+
+    def problems(
+        self, case: "ShardSweepCase", oracle: kernel.State
+    ) -> List[str]:
+        return integrity_problems(case.db)
+
 
 @dataclass
 class ShardSweepCase:
@@ -111,8 +139,9 @@ class ShardSweepCase:
     db: Database
     log: WriteAheadLog
     keys: List[int]
-    #: The shard-local statement sequence: ``(physical table, keys)``
-    #: per non-empty fragment, in shard order.
+    #: The shard-local statements the client has not had acknowledged:
+    #: ``(physical table, keys)`` per non-empty fragment, in shard
+    #: order.  The head is the statement in flight.
     statements: List[Tuple[str, List[int]]]
 
 
@@ -123,98 +152,6 @@ def shard_crash_sweep(
 ) -> SweepReport:
     """Sweep a crash over every (or ``max_points`` evenly spaced)
     global durable event of the scenario's multi-shard delete."""
-    scenario = scenario or ShardSweepScenario()
-    say = log_fn or (lambda message: None)
-
-    # Pass 0: pre-statement state, oracle state, global event count.
-    case = scenario.build()
-    initial = capture_state(case.db)
-    counter = FaultInjector()
-    for table_name, frag_keys in case.statements:
-        RecoverableBulkDelete(
-            case.db, table_name, "A", frag_keys, case.log, faults=counter
-        ).run()
-    oracle = capture_state(case.db)
-    oracle_problems = integrity_problems(case.db)
-    if oracle_problems:
-        raise ReproError(
-            "fault-free sharded oracle run is already inconsistent: "
-            + "; ".join(oracle_problems)
-        )
-    report = SweepReport(durable_events=counter.durable_event_count)
-    report.points = _choose_points(counter.durable_event_count, max_points)
-    say(
-        f"sharded oracle: {len(case.statements)} shard statements, "
-        f"{counter.durable_event_count} global durable events; "
-        f"sweeping {len(report.points)} crash points"
+    return kernel.crash_sweep(
+        scenario or ShardSweepScenario(), max_points, log_fn
     )
-    for k in report.points:
-        outcome = _run_shard_point(scenario, k, initial, oracle)
-        report.outcomes.append(outcome)
-        if not outcome.ok:
-            say(f"  event {k}: FAIL: {outcome.problems[0]}")
-    return report
-
-
-def _run_shard_point(
-    scenario: ShardSweepScenario,
-    event: int,
-    initial: dict,
-    oracle: dict,
-) -> PointOutcome:
-    case = scenario.build()
-    outcome = PointOutcome(event=event, second_event=None)
-    # One injector across the sequence: durable events number globally,
-    # so event k lands on the same write as in the oracle pass.
-    injector = FaultInjector(FaultPlan(crash_after_event=event))
-    crashed_at: Optional[int] = None
-    for i, (table_name, frag_keys) in enumerate(case.statements):
-        try:
-            RecoverableBulkDelete(
-                case.db, table_name, "A", frag_keys, case.log,
-                faults=injector,
-            ).run()
-        except SimulatedCrash as exc:
-            outcome.crash = str(exc)
-            crashed_at = i
-            break
-    if outcome.crash is None or crashed_at is None:
-        outcome.problems.append(
-            f"no crash fired at global durable event {event}"
-        )
-        return outcome
-
-    rec_report = recover(case.db, case.log)
-
-    # The interrupted statement: recovery either finished it, or the
-    # client re-issues it — legitimate only from the pristine
-    # shard-local state (shards share nothing, so the check is local).
-    state = capture_state(case.db)
-    table_name, frag_keys = case.statements[crashed_at]
-    if rec_report.abandoned or not rec_report.resumed:
-        if state.get(table_name) == initial.get(table_name):
-            RecoverableBulkDelete(
-                case.db, table_name, "A", frag_keys, case.log
-            ).run()
-        elif state.get(table_name) != oracle.get(table_name):
-            outcome.problems.append(
-                f"statement on {table_name} neither resumed nor "
-                "pristine after recovery; cannot re-issue"
-            )
-    # Statements after the crashed one never began; the client issues
-    # them as on a fresh run.
-    for next_name, next_keys in case.statements[crashed_at + 1:]:
-        RecoverableBulkDelete(
-            case.db, next_name, "A", next_keys, case.log
-        ).run()
-
-    state = capture_state(case.db)
-    if state != oracle:
-        outcome.problems.append(_diff_states(oracle, state))
-    outcome.problems.extend(integrity_problems(case.db))
-    # Recovery must be terminal: a further restart finds nothing to do.
-    if recover(case.db, case.log).resumed:
-        outcome.problems.append(
-            "recovery is not terminal (a further recover() resumed)"
-        )
-    return outcome

@@ -158,6 +158,41 @@ def test_fluent_constructor_call_receiver(tmp_path):
     assert graph.callees("pkg.w.use") == {"pkg.w.Widget.spin"}
 
 
+def test_protocol_typed_receiver_dispatches_to_the_implementers(tmp_path):
+    # The stub is no one's body: an edge to it would launder every
+    # effect of the real implementations out of the caller.
+    root = make_pkg(
+        tmp_path,
+        {
+            "k.py": """
+            from typing import Protocol, TypeVar
+
+            C = TypeVar("C")
+
+            class Scenario(Protocol[C]):
+                def issue(self):
+                    ...
+
+            class Heap:
+                def issue(self):
+                    return 1
+
+            class Lsm:
+                def issue(self):
+                    return 2
+
+            def sweep(scenario: "Scenario[C]", other: Scenario):
+                scenario.issue()
+                other.issue()
+            """,
+        },
+    )
+    graph = build_callgraph(root)
+    assert graph.callees("pkg.k.sweep") == {
+        "pkg.k.Heap.issue", "pkg.k.Lsm.issue",
+    }
+
+
 def test_ambiguous_method_names_stay_unresolved(tmp_path):
     # `.append` on an untyped receiver must not connect to an in-repo
     # class that happens to define `append`.

@@ -17,7 +17,6 @@ from repro.faults.sweep import (
     capture_state,
     crash_point_sweep,
     integrity_problems,
-    _choose_points,
 )
 from repro.recovery.restart import RecoverableBulkDelete, recover
 
@@ -44,16 +43,6 @@ def test_integrity_problems_detects_damage():
     tree._entry_count += 5
     problems = integrity_problems(case.db)
     assert any("entry_count" in p for p in problems)
-
-
-def test_choose_points_spacing():
-    assert _choose_points(5, None) == [1, 2, 3, 4, 5]
-    assert _choose_points(5, 10) == [1, 2, 3, 4, 5]
-    assert _choose_points(0, None) == []
-    assert _choose_points(100, 0) == []
-    picked = _choose_points(100, 4)
-    assert picked == [25, 50, 75, 100]
-    assert _choose_points(10, 1) == [10]
 
 
 def test_full_sweep_every_durable_event():
