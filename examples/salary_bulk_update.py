@@ -26,7 +26,7 @@ from repro import (
     Database,
     OnDelete,
     TableSchema,
-    bulk_delete_with_integrity,
+    cascade_bulk_delete,
     bulk_update,
     traditional_update,
 )
@@ -111,7 +111,7 @@ def main() -> None:
         "emp", "dept_id", "dept", "dept_id", on_delete=OnDelete.RESTRICT
     )
     try:
-        bulk_delete_with_integrity(db, constraints, "dept", "dept_id", [7])
+        cascade_bulk_delete(db, constraints, "dept", "dept_id", [7])
     except IntegrityViolationError as exc:
         print(f"RESTRICT blocked it before any modification: {exc}")
 
@@ -119,7 +119,7 @@ def main() -> None:
     constraints2.add_foreign_key(
         "emp", "dept_id", "dept", "dept_id", on_delete=OnDelete.CASCADE
     )
-    result, report = bulk_delete_with_integrity(
+    result, report = cascade_bulk_delete(
         db, constraints2, "dept", "dept_id", [7]
     )
     print(f"CASCADE: deleted department 7 and "

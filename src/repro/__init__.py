@@ -23,7 +23,7 @@ from repro.core.drop_create import DropCreateResult, drop_create_delete
 from repro.core.integrity import (
     ConstraintRegistry,
     OnDelete,
-    bulk_delete_with_integrity,
+    cascade_bulk_delete,
 )
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.plan_lint import lint_plan
@@ -62,7 +62,7 @@ __all__ = [
     "TableSchema",
     "TraditionalResult",
     "bulk_delete",
-    "bulk_delete_with_integrity",
+    "cascade_bulk_delete",
     "bulk_update",
     "choose_plan",
     "drop_create_delete",

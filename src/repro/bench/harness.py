@@ -40,10 +40,6 @@ class RunResult:
     #: when the harness was asked to ``observe``; ``None`` otherwise.
     trace: Optional[object] = None
 
-    @property
-    def sim_minutes(self) -> float:
-        return self.sim_seconds / 60.0
-
 
 def run_approach(
     approach: str,

@@ -18,6 +18,15 @@ from repro.storage.heap import HeapFile
 from repro.storage.rid import RID
 from repro.storage.serializer import RecordSerializer
 
+#: Engine name of the paper's slotted-heap + B-link-tree layout.
+ENGINE_HEAP = "heap"
+#: Engine name of the delete-aware LSM tree (``repro.lsm``).
+ENGINE_LSM = "lsm"
+#: Every engine ``Database.create_table(engine=...)`` accepts.  The
+#: set is closed: an engine is a storage contract the planner,
+#: observer and static-analysis contracts all know about.
+ENGINE_NAMES: Tuple[str, ...] = (ENGINE_HEAP, ENGINE_LSM)
+
 
 class IndexState(enum.Enum):
     """Availability of an index (Section 3 of the paper).
@@ -157,13 +166,9 @@ class TableInfo:
         #: reads it I/O-free; executors bump it via
         #: :meth:`note_shard_access`.
         self.shard_accesses: Dict[int, int] = {}
-        #: Storage engine backing this table (see
-        #: :mod:`repro.storage.engine`): ``"heap"`` (the default
-        #: heap + B-link path) or ``"lsm"``.
-        self.engine: str = "heap"
-        #: The LSM tree holding this table's rows when
-        #: ``engine == "lsm"`` (its heap then stays empty, like a
-        #: sharded table's logical entry).
+        #: The LSM tree holding this table's rows, or ``None`` for the
+        #: heap + B-link layout.  An LSM table's heap stays empty, like
+        #: a sharded table's logical entry.
         self.lsm: Optional["LsmTree"] = None
         #: The INT column LSM rows are keyed by.
         self.lsm_key_column: Optional[str] = None
@@ -185,8 +190,9 @@ class TableInfo:
         return self.shard_map is not None
 
     @property
-    def is_lsm(self) -> bool:
-        return self.lsm is not None
+    def engine(self) -> str:
+        """The layout's name, as WAL payloads and EXPLAIN spell it."""
+        return ENGINE_HEAP if self.lsm is None else ENGINE_LSM
 
     def shard(self, shard_id: int) -> "TableInfo":
         try:

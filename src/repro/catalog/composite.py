@@ -44,10 +44,6 @@ class CompositeKeyCodec:
     def of(cls, *widths: int) -> "CompositeKeyCodec":
         return cls(tuple(widths))
 
-    @property
-    def column_count(self) -> int:
-        return len(self.widths)
-
     def pack(self, values: Sequence[int]) -> int:
         """Combine column values into one order-preserving key."""
         if len(values) != len(self.widths):

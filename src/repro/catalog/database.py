@@ -16,7 +16,15 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.btree.tree import BLinkTree
-from repro.catalog.catalog import Catalog, IndexInfo, IndexState, TableInfo
+from repro.catalog.catalog import (
+    ENGINE_HEAP,
+    ENGINE_LSM,
+    ENGINE_NAMES,
+    Catalog,
+    IndexInfo,
+    IndexState,
+    TableInfo,
+)
 from repro.catalog.composite import CompositeKeyCodec
 from repro.catalog.schema import Attribute, DataType, TableSchema
 from repro.errors import CatalogError, IndexOfflineError, UniqueViolationError
@@ -72,14 +80,12 @@ class Database:
         in a delete-aware :class:`~repro.lsm.tree.LsmTree`;
         ``lsm_config`` tunes it.  See ``docs/storage_engines.md``.
         """
-        from repro.storage.engine import ENGINE_NAMES, HEAP_BTREE, LSM
-
         if engine not in ENGINE_NAMES:
             raise CatalogError(
                 f"unknown storage engine {engine!r}; "
                 f"choose from {sorted(ENGINE_NAMES)}"
             )
-        if engine == HEAP_BTREE and (
+        if engine == ENGINE_HEAP and (
             key_column is not None or lsm_config is not None
         ):
             raise CatalogError(
@@ -87,7 +93,7 @@ class Database:
             )
         heap = HeapFile(self.pool, name=schema.name)
         table = TableInfo(schema, heap)
-        if engine == LSM:
+        if engine == ENGINE_LSM:
             from repro.lsm.tree import LsmConfig, LsmTree
 
             column = key_column or schema.attributes[0].name
@@ -99,7 +105,6 @@ class Database:
                 lsm_config, LsmConfig
             ):
                 raise CatalogError("lsm_config must be an LsmConfig")
-            table.engine = LSM
             table.lsm = LsmTree(
                 self.pool, name=schema.name, config=lsm_config
             )
@@ -336,7 +341,6 @@ class Database:
         if table.lsm is not None:
             assert table.lsm_key_column is not None
             key = table.key_of(tuple(values), table.lsm_key_column)
-            table.lsm.observer = self.obs
             table.lsm.put(key, table.serializer.pack(values))
             return None
         if table.is_sharded:
@@ -377,7 +381,6 @@ class Database:
         if table.lsm is not None:
             assert table.lsm_key_column is not None
             key_column = table.lsm_key_column
-            table.lsm.observer = self.obs
             return table.lsm.bulk_load(
                 (
                     table.key_of(tuple(values), key_column),
@@ -422,7 +425,7 @@ class Database:
         if table.lsm is not None:
             raise CatalogError(
                 f"table {table_name} is LSM-backed and has no RIDs; "
-                "delete by key via repro.lsm.lsm_bulk_delete"
+                "delete by key via bulk_delete"
             )
         if table.is_sharded:
             raise CatalogError(
@@ -446,7 +449,6 @@ class Database:
         the key plays the RID's role."""
         table = self.catalog.table(table_name)
         if table.lsm is not None:
-            table.lsm.observer = self.obs
             for key, payload in table.lsm.scan():
                 yield key, table.serializer.unpack(payload)
             return
@@ -485,7 +487,6 @@ class Database:
 
         table = self.catalog.table(table_name)
         if table.lsm is not None:
-            table.lsm.observer = self.obs
             compactions = table.lsm.compact_all()
             self.flush()
             return {

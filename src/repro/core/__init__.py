@@ -45,7 +45,7 @@ from repro.core.integrity import (
     ForeignKey,
     IntegrityReport,
     OnDelete,
-    bulk_delete_with_integrity,
+    cascade_bulk_delete,
 )
 from repro.core.operator import OpNode, build_dag, render_plan_dag
 from repro.core.reorg import compact_leaf_level, sweep_with_base_node_reorg
@@ -58,7 +58,7 @@ __all__ = [
     "ForeignKey",
     "IntegrityReport",
     "OnDelete",
-    "bulk_delete_with_integrity",
+    "cascade_bulk_delete",
     "bulk_update",
     "build_dag",
     "render_plan_dag",

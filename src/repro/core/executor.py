@@ -342,10 +342,14 @@ def bulk_delete(
     static plan linter before execution (mainly a guard for
     caller-supplied plans; planner output lints clean by construction).
 
-    An LSM-backed table dispatches to
+    This is the one statement entry point for every layout the catalog
+    can create.  An LSM-backed table dispatches to
     :func:`repro.lsm.engine.lsm_bulk_delete` (tombstones + FADE
     compactions) and returns its :class:`~repro.lsm.engine
-    .LsmDeleteResult` instead.
+    .LsmDeleteResult`; a range-sharded table dispatches to
+    :func:`repro.shard.executor.sharded_bulk_delete` (``options.lanes``
+    / ``options.contention`` size the ``shards`` lane region) and
+    returns its :class:`~repro.shard.executor.ShardedDeleteResult`.
     """
     table = db.table(table_name)
     if table.lsm is not None:
@@ -356,8 +360,29 @@ def bulk_delete(
         return lsm_bulk_delete(  # type: ignore[return-value]
             db, table_name, column, keys, plan=lsm_plan
         )
+    opts = options or BulkDeleteOptions()
+    if table.is_sharded:
+        from repro.shard.executor import sharded_bulk_delete
+        from repro.shard.planning import (
+            ShardedDeletePlan,
+            choose_sharded_plan,
+        )
+
+        sharded_plan = (
+            plan
+            if isinstance(plan, ShardedDeletePlan)
+            else choose_sharded_plan(
+                db, table_name, column, keys,
+                lanes=opts.lanes, contention=opts.contention,
+                prefer_method=prefer_method,
+            )
+        )
+        return sharded_bulk_delete(  # type: ignore[return-value]
+            db, table_name, column, keys,
+            options=options, plan=sharded_plan,
+            lane_seed=opts.lane_seed, validate=validate,
+        )
     if plan is None:
-        opts = options or BulkDeleteOptions()
         plan = choose_plan(
             db,
             table_name,

@@ -8,7 +8,7 @@ from the table and the indices so that no work needs to be undone if an
 integrity constraint fails."
 
 ``ConstraintRegistry`` records FOREIGN KEY constraints; a
-:func:`bulk_delete_with_integrity` on a parent table then:
+:func:`cascade_bulk_delete` on a parent table then:
 
 1. finds, *set-oriented and read-only*, every child row referencing a
    to-be-deleted key (one sequential probe of the child's index when it
@@ -384,34 +384,6 @@ def cascade_bulk_delete(
             db, fk, referencing, router=router, txn=txn
         )
         report.nulled.append((fk.describe(), rows))
-    # Phase 3: the parent itself, on its own storage engine.
-    table = db.table(table_name)
-    if table.lsm is not None:
-        from repro.lsm.engine import lsm_bulk_delete
+    # Phase 3: the parent itself; bulk_delete picks the table's layout.
+    return bulk_delete(db, table_name, column, keys, options=options), report
 
-        return lsm_bulk_delete(db, table_name, column, keys), report
-    result = bulk_delete(db, table_name, column, keys, options=options)
-    return result, report
-
-
-def bulk_delete_with_integrity(
-    db: Database,
-    constraints: ConstraintRegistry,
-    table_name: str,
-    column: str,
-    keys: Sequence[int],
-    options: Optional[BulkDeleteOptions] = None,
-    _visited: Optional[Set[str]] = None,
-) -> Tuple[BulkDeleteResult, IntegrityReport]:
-    """Heap-table compatibility wrapper around :func:`cascade_bulk_delete`.
-
-    Kept for callers that predate SET NULL and the LSM dispatch; the
-    result is always a heap :class:`BulkDeleteResult` because the
-    historical surface only ever targeted heap tables.
-    """
-    result, report = cascade_bulk_delete(
-        db, table_name=table_name, constraints=constraints,
-        column=column, keys=keys, options=options, _visited=_visited,
-    )
-    assert isinstance(result, BulkDeleteResult)
-    return result, report

@@ -18,16 +18,15 @@ Layers (see ``docs/storage_engines.md``):
 * :mod:`repro.lsm.tree` — the leveled tree: write-ahead log pages,
   memtable flushes, leveled + delete-aware compaction, a
   double-buffered superblock/manifest commit protocol,
-* :mod:`repro.lsm.engine` — the :class:`repro.storage.engine
-  .StorageEngine` implementation the catalog binds to
-  ``engine="lsm"`` tables,
+* :mod:`repro.lsm.engine` — :func:`lsm_bulk_delete`, the branch
+  ``bulk_delete`` takes for ``engine="lsm"`` tables,
 * :mod:`repro.lsm.planning` — pure-arithmetic cost estimation
   (``choose_plan`` dispatches here for LSM tables),
 * :mod:`repro.lsm.sweep` — the crash-mid-compaction sweep
   (``python -m repro faultsweep --lsm``).
 """
 
-from repro.lsm.engine import LsmDeleteResult, LsmEngine, lsm_bulk_delete
+from repro.lsm.engine import LsmDeleteResult, lsm_bulk_delete
 from repro.lsm.memtable import Memtable, RangeTombstone
 from repro.lsm.planning import LsmDeletePlan, choose_lsm_plan
 from repro.lsm.sstable import RunMeta
@@ -38,7 +37,6 @@ __all__ = [
     "LsmConfig",
     "LsmDeletePlan",
     "LsmDeleteResult",
-    "LsmEngine",
     "LsmStats",
     "LsmSweepScenario",
     "LsmTree",

@@ -1,10 +1,9 @@
-"""The ``engine="lsm"`` implementation of the storage-engine seam.
+"""Bulk delete on an ``engine="lsm"`` table.
 
-One :class:`LsmEngine` binds a catalog table to its
-:class:`~repro.lsm.tree.LsmTree`.  Rows are keyed by the table's
-declared LSM key column (an INT); the tree stores the serialized row
-as the payload, so the serializer — and therefore the row encoding —
-is shared with the heap engine byte for byte.
+Rows are keyed by the table's declared LSM key column (an INT); the
+tree stores the serialized row as the payload, so the serializer — and
+therefore the row encoding — is shared with the heap layout byte for
+byte (``Database`` does the DML; see ``docs/storage_engines.md``).
 
 A bulk delete compiles the key list to tombstones (consecutive runs
 become range tombstones), appends them to the log/memtable, and lets
@@ -16,15 +15,7 @@ the same simulated disk by ``fig_lsm_vs_vertical``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.errors import CatalogError
 from repro.lsm.planning import (
@@ -32,13 +23,10 @@ from repro.lsm.planning import (
     choose_lsm_plan,
     compile_tombstones,
 )
-from repro.lsm.tree import LsmTree
 from repro.obs.trace import maybe_span
 from repro.storage.disk import DiskStats
-from repro.storage.engine import LSM, EngineStatistics, Row
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.catalog.catalog import TableInfo
     from repro.catalog.database import Database
 
 
@@ -66,97 +54,6 @@ class LsmDeleteResult:
     notes: List[str] = field(default_factory=list)
 
 
-class LsmEngine:
-    """Storage-engine adapter over one table's :class:`LsmTree`."""
-
-    name = LSM
-
-    def __init__(self, db: "Database", table_name: str) -> None:
-        self.db = db
-        self.table_name = table_name
-        table = db.table(table_name)
-        tree: Optional[LsmTree] = getattr(table, "lsm", None)
-        if tree is None:
-            raise CatalogError(
-                f"table {table_name} has no LSM tree; was it created "
-                "with engine='lsm'?"
-            )
-        self.tree = tree
-        self.key_column: str = table.lsm_key_column
-
-    def table(self) -> "TableInfo":
-        return self.db.table(self.table_name)
-
-    def _sync_observer(self) -> None:
-        # Refreshed per public operation: attaching/detaching an
-        # observer on the database must take effect immediately, and a
-        # detached database must pay only this attribute store.
-        self.tree.observer = self.db.obs
-
-    # ------------------------------------------------------------------
-    # StorageEngine surface
-    # ------------------------------------------------------------------
-    def insert(self, values: Sequence[object]) -> None:
-        """Upsert one row keyed by the LSM key column (returns ``None``:
-        LSM rows have no stable RID)."""
-        table = self.table()
-        self._sync_observer()
-        key = table.key_of(tuple(values), self.key_column)
-        self.tree.put(key, table.serializer.pack(values))
-        return None
-
-    def scan(self) -> Iterator[Tuple[object, Row]]:
-        """Yield ``(key, values)`` for every live row, in key order."""
-        table = self.table()
-        self._sync_observer()
-        for key, payload in self.tree.scan():
-            yield key, table.serializer.unpack(payload)
-
-    def point_lookup(self, column: str, key: int) -> Optional[Row]:
-        if column != self.key_column:
-            raise CatalogError(
-                f"LSM point lookups must use the key column "
-                f"{self.key_column!r}, not {column!r}"
-            )
-        self._sync_observer()
-        payload = self.tree.get(key)
-        if payload is None:
-            return None
-        return self.table().serializer.unpack(payload)
-
-    def bulk_delete(
-        self,
-        column: str,
-        keys: Sequence[int],
-        plan: Optional[LsmDeletePlan] = None,
-        **_: Any,
-    ) -> LsmDeleteResult:
-        return lsm_bulk_delete(
-            self.db, self.table_name, column, keys, plan=plan
-        )
-
-    def delete_range(self, lo: int, hi: int) -> None:
-        """One range tombstone over ``[lo, hi]`` on the key column."""
-        self._sync_observer()
-        self.tree.delete_range(lo, hi)
-
-    def statistics(self) -> EngineStatistics:
-        tree = self.tree
-        return EngineStatistics(
-            engine=self.name,
-            table_name=self.table_name,
-            logical_records=tree.approx_records,
-            data_pages=tree.data_pages,
-            structures=tree.run_count,
-            detail={
-                "levels": float(len(tree.levels)),
-                "l0_runs": float(len(tree.levels[0])),
-                "tombstones": float(tree.tombstone_count),
-                "memtable_entries": float(tree.memtable.entry_count),
-            },
-        )
-
-
 def lsm_bulk_delete(
     db: "Database",
     table_name: str,
@@ -174,12 +71,10 @@ def lsm_bulk_delete(
     benchmark uses to measure lookup amplification before and after
     FADE runs).
     """
-    table = db.table(table_name)
-    tree: Optional[LsmTree] = getattr(table, "lsm", None)
+    tree = db.table(table_name).lsm
     if tree is None:
         raise CatalogError(
-            f"table {table_name} is not an LSM table; use "
-            "repro.core.executor.bulk_delete"
+            f"table {table_name} is not an LSM table; use bulk_delete"
         )
     if plan is None:
         plan = choose_lsm_plan(db, table_name, column, keys)
@@ -188,7 +83,6 @@ def lsm_bulk_delete(
             f"plan targets {plan.table_name}.{plan.column}, call "
             f"targets {table_name}.{column}"
         )
-    tree.observer = db.obs
     started_ms = db.clock.now_ms
     io_before = db.disk.stats.snapshot()
     tree_before = tree.stats.snapshot()

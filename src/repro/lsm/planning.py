@@ -23,13 +23,12 @@ actually executes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
 
 from repro.errors import PlanningError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.catalog.database import Database
-    from repro.lsm.tree import LsmTree
 
 #: Sorted consecutive key runs at least this long compile to one range
 #: tombstone instead of per-key point tombstones.
@@ -111,12 +110,12 @@ def choose_lsm_plan(
     point-delete API.
     """
     table = db.table(table_name)
-    tree: Optional["LsmTree"] = getattr(table, "lsm", None)
+    tree = table.lsm
     if tree is None:
         raise PlanningError(
             f"table {table_name} is not an LSM table; use choose_plan"
         )
-    key_column = getattr(table, "lsm_key_column", None)
+    key_column = table.lsm_key_column
     if column != key_column:
         raise PlanningError(
             f"LSM deletes must target the key column "

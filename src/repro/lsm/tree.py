@@ -187,9 +187,6 @@ class LsmTree:
         self.name = name
         self.config = config or LsmConfig()
         self.stats = LsmStats()
-        #: Attached observer (``db.obs``); the engine refreshes it per
-        #: public operation so detached databases pay nothing.
-        self.observer: Optional[Any] = None
 
         self.data_file = self.disk.create_file()
         self.log_file = self.disk.create_file()
@@ -211,6 +208,11 @@ class LsmTree:
         self._log_tail_next = 0
         self._new_log_chain()
         self._commit()
+
+    @property
+    def observer(self) -> Optional[Any]:
+        """The observer attached to the disk, like every storage layer."""
+        return self.disk.observer
 
     # ------------------------------------------------------------------
     # identity / recovery handle
@@ -1004,7 +1006,6 @@ class LsmTree:
         tree.name = name
         tree.config = config or LsmConfig()
         tree.stats = LsmStats()
-        tree.observer = None
         tree.data_file = data_file
         tree.log_file = log_file
         tree.meta_file = meta_file

@@ -37,9 +37,6 @@ from repro.errors import IntegrityViolationError, PlanningError
 ACTION_DELETE = "delete"
 ACTION_SET_NULL = "set-null"
 
-ENGINE_HEAP = "heap"
-ENGINE_LSM = "lsm"
-
 
 @dataclass(frozen=True)
 class RetentionPolicy:
@@ -216,9 +213,6 @@ def compile_policy(
     root_keys = resolve_root_keys(db, policy)
     node_of: Dict[Tuple[str, str, str], RetentionNode] = {}
 
-    def engine_of(table_name: str) -> str:
-        return ENGINE_LSM if db.table(table_name).lsm is not None else ENGINE_HEAP
-
     def emit(
         table_name: str,
         column: str,
@@ -239,7 +233,7 @@ def compile_policy(
             column=column,
             keys=tuple(sorted(set(keys))),
             action=action,
-            engine=engine_of(table_name),
+            engine=db.table(table_name).engine,
             via=(via,) if via is not None else (),
         )
         node_of[slot] = node

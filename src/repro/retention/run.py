@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.catalog.catalog import ENGINE_LSM
 from repro.catalog.database import Database
 from repro.core.integrity import SET_NULL_VALUE
 from repro.errors import RecoveryError
@@ -54,7 +55,6 @@ from repro.recovery.wal import WriteAheadLog
 from repro.retention.policy import (
     ACTION_DELETE,
     ACTION_SET_NULL,
-    ENGINE_LSM,
     RetentionPlan,
 )
 
@@ -344,7 +344,6 @@ def erase_traces(
         table = db.table(table_name)
         assert table.lsm is not None
         lsm = table.lsm
-        lsm.observer = db.obs
         report.lsm_compactions += lsm.compact_all()
         tightened = False
         for runs in lsm.levels:
@@ -619,4 +618,3 @@ def _reopen_lsm_tables(db: Database, nodes: Sequence[Dict[str, Any]]) -> None:
             config=table.lsm.config,
             name=table.lsm.name,
         )
-        table.lsm.observer = db.obs

@@ -80,10 +80,6 @@ class ShardedDeletePlan:
     def serial_fragments(self) -> List[ShardFragment]:
         return [f for f in self.fragments if not f.is_parallel]
 
-    @property
-    def total_keys(self) -> int:
-        return sum(len(f.keys) for f in self.fragments)
-
     def explain(self) -> str:
         """Render the sharded plan in the style of the core EXPLAIN."""
         lines = [
@@ -153,7 +149,9 @@ def choose_sharded_plan(
         lanes=lanes,
         contention=contention,
     )
-    routed = shard_map.route(keys)
+    # An IN-list is a set: a repeated key is routed once (its first
+    # occurrence), which is what plan/shard-coverage holds plans to.
+    routed = shard_map.route(list(dict.fromkeys(keys)))
     nonempty = [frag for frag in routed if frag]
     if not nonempty:
         plan.estimated_ms = 0.0

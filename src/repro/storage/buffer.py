@@ -269,9 +269,6 @@ class BufferPool:
     def contains(self, page_id: int) -> bool:
         return page_id in self._frames
 
-    def resident_page_ids(self) -> Iterator[int]:
-        return iter(list(self._frames))
-
     @property
     def resident_count(self) -> int:
         return len(self._frames)

@@ -97,10 +97,6 @@ class SimClock:
     def now_seconds(self) -> float:
         return self._now_ms / 1000.0
 
-    @property
-    def now_minutes(self) -> float:
-        return self._now_ms / 60000.0
-
     def advance_ms(self, delta_ms: float) -> None:
         if delta_ms < 0:
             raise ValueError("cannot advance the clock backwards")
@@ -391,15 +387,6 @@ class SimulatedDisk:
 
     def _store_page(self, page_id: int, data: bytes) -> None:
         self._pages[page_id] = bytes(data)
-
-    def read_pages_chained(self, page_ids: Iterable[int]) -> List[bytes]:
-        """Read several pages with chained I/O (one request per run).
-
-        Contiguous page ids are billed as one seek plus per-page
-        transfers, mirroring the chunked reads the paper's traditional
-        algorithm performs with its buffer memory.
-        """
-        return [self.read_page(pid) for pid in page_ids]
 
     # ------------------------------------------------------------------
     # media: checksum verification, corruption, quarantine

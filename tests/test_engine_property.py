@@ -6,7 +6,7 @@ every step that the heap and every index agree with it exactly.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
 from repro import Attribute, Database, TableSchema, bulk_delete, bulk_update
@@ -25,18 +25,49 @@ def build_db(rows):
     return db
 
 
+#: Every layout ``Database`` can create, by the name the model test
+#: reports, and the interior bounds on ``k`` (keys run 0..600) of the
+#: range-sharded ones.
+LAYOUTS = ("heap", "lsm", "1-shard", "3-shard")
+SHARD_BOUNDS = {"1-shard": (), "3-shard": (170, 340)}
+
+
+def build_layout(layout, rows):
+    """The same rows and (where the layout has them) indexes as
+    :func:`build_db`, on the named layout."""
+    if layout == "heap":
+        return build_db(rows)
+    db = Database(page_size=512, memory_bytes=64 * 1024)
+    schema = TableSchema.of("t", [Attribute.int_("k"), Attribute.int_("v")])
+    if layout == "lsm":
+        db.create_table(schema, engine="lsm", key_column="k")
+        db.load_table("t", rows)
+        return db
+    db.create_sharded_table(schema, "k", SHARD_BOUNDS[layout])
+    db.load_table("t", rows)
+    db.create_sharded_index("t", "k", unique=True)
+    db.create_sharded_index("t", "v")
+    return db
+
+
 def check_against_model(db, model):
     """model: dict k -> v."""
     scanned = {row[0]: row[1] for _, row in db.scan("t")}
     assert scanned == model
     table = db.table("t")
+    if table.lsm is not None:
+        return  # no indexes; record_count is an upper bound until vacuum
     assert table.record_count == len(model)
-    k_tree = table.index("I_t_k").tree
-    v_tree = table.index("I_t_v").tree
-    validate_tree(k_tree)
-    validate_tree(v_tree)
-    assert sorted(k for k, _ in k_tree.items()) == sorted(model)
-    assert sorted(v for v, _ in v_tree.items()) == sorted(model.values())
+    k_keys, v_keys = [], []
+    for part in table.shards or [table]:
+        k_tree = part.index(f"I_{part.name}_k").tree
+        v_tree = part.index(f"I_{part.name}_v").tree
+        validate_tree(k_tree)
+        validate_tree(v_tree)
+        k_keys.extend(k for k, _ in k_tree.items())
+        v_keys.extend(v for v, _ in v_tree.items())
+    assert sorted(k_keys) == sorted(model)
+    assert sorted(v_keys) == sorted(model.values())
 
 
 row_strategy = st.dictionaries(
@@ -54,16 +85,18 @@ row_strategy = st.dictionaries(
     data=st.data(),
 )
 def test_bulk_delete_matches_model(rows, data):
-    model = dict(rows)
-    db = build_db(list(model.items()))
+    """One statement entry point, every layout, one dict model."""
     method = data.draw(st.sampled_from(list(BdMethod)[:3]))
     victims = data.draw(
         st.lists(st.integers(min_value=0, max_value=600), max_size=60)
     )
-    bulk_delete(db, "t", "k", victims, prefer_method=method)
-    for k in victims:
-        model.pop(k, None)
-    check_against_model(db, model)
+    dead = set(victims)
+    model = {k: v for k, v in rows.items() if k not in dead}
+    for layout in LAYOUTS:
+        note(f"layout: {layout}")
+        db = build_layout(layout, list(rows.items()))
+        bulk_delete(db, "t", "k", victims, prefer_method=method)
+        check_against_model(db, model)
 
 
 @settings(max_examples=30, deadline=None,

@@ -8,7 +8,7 @@ from repro.catalog.composite import CompositeKeyCodec
 from repro.core.integrity import (
     ConstraintRegistry,
     OnDelete,
-    bulk_delete_with_integrity,
+    cascade_bulk_delete,
     find_referencing_keys,
 )
 from repro.errors import (
@@ -163,7 +163,7 @@ def test_restrict_blocks_before_any_modification():
     db, constraints = build_parent_child()
     before = sorted(v for _, v in db.scan("parent"))
     with pytest.raises(IntegrityViolationError):
-        bulk_delete_with_integrity(
+        cascade_bulk_delete(
             db, constraints, "parent", "pk", [0, 2, 4]
         )
     # Nothing at all was modified — the check ran first.
@@ -174,7 +174,7 @@ def test_restrict_blocks_before_any_modification():
 def test_restrict_allows_unreferenced_deletes():
     db, constraints = build_parent_child()
     # Odd parents have no children.
-    result, report = bulk_delete_with_integrity(
+    result, report = cascade_bulk_delete(
         db, constraints, "parent", "pk", [1, 3, 5]
     )
     assert result.records_deleted == 3
@@ -184,7 +184,7 @@ def test_restrict_allows_unreferenced_deletes():
 
 def test_cascade_deletes_children_first():
     db, constraints = build_parent_child(cascade=True)
-    result, report = bulk_delete_with_integrity(
+    result, report = cascade_bulk_delete(
         db, constraints, "parent", "pk", [0, 2, 4]
     )
     assert result.records_deleted == 3
@@ -199,7 +199,7 @@ def test_cascade_deletes_children_first():
 
 def test_cascade_without_child_index_scans():
     db, constraints = build_parent_child(cascade=True, index_child=False)
-    result, report = bulk_delete_with_integrity(
+    result, report = cascade_bulk_delete(
         db, constraints, "parent", "pk", [0]
     )
     assert result.records_deleted == 1
@@ -232,7 +232,7 @@ def test_cascade_chain_grandchildren():
         "grandchild", "child_ref", "child", "ck",
         on_delete=OnDelete.CASCADE,
     )
-    result, report = bulk_delete_with_integrity(
+    result, report = cascade_bulk_delete(
         db, constraints, "parent", "pk", [0]
     )
     assert result.records_deleted == 1
@@ -260,4 +260,4 @@ def test_cascade_cycle_detected():
     constraints.add_foreign_key("x", "k", "x", "k",
                                 on_delete=OnDelete.CASCADE)
     with pytest.raises(PlanningError):
-        bulk_delete_with_integrity(db, constraints, "x", "k", [1])
+        cascade_bulk_delete(db, constraints, "x", "k", [1])

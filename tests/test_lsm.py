@@ -301,7 +301,7 @@ def test_lsm_table_facade_semantics():
     db.load_table("R", [(a, f"row{a}") for a in range(20)])
     assert db.insert("R", (20, "late")) is None  # key-addressed: no RID
     assert dict(db.scan("R"))[20] == (20, "late")
-    assert db.table("R").is_lsm
+    assert db.table("R").engine == "lsm"
     assert db.table("R").record_count == 21
     with pytest.raises(CatalogError):
         db.create_index("R", "A")
@@ -309,6 +309,23 @@ def test_lsm_table_facade_semantics():
         db.create_hash_index("R", "A")
     with pytest.raises(CatalogError):
         db.delete_record("R", None)
+    # create_table argument checks: the engine set is closed, the LSM
+    # knobs belong to LSM tables only, and the key column must be INT.
+    schema = TableSchema.of(
+        "S", [Attribute.int_("A"), Attribute.char("PAD", 20)]
+    )
+    with pytest.raises(CatalogError, match="unknown storage engine"):
+        db.create_table(schema, engine="rope-and-pulley")
+    with pytest.raises(CatalogError, match="only apply to engine='lsm'"):
+        db.create_table(schema, key_column="A")
+    with pytest.raises(CatalogError, match="only apply to engine='lsm'"):
+        db.create_table(schema, engine="heap", lsm_config=TINY)
+    with pytest.raises(CatalogError, match="must be INT"):
+        db.create_table(schema, engine="lsm", key_column="PAD")
+    with pytest.raises(CatalogError, match="must be an LsmConfig"):
+        db.create_table(schema, engine="lsm", lsm_config={"l0_runs": 2})
+    assert not db.catalog.has_table("S")  # every rejection left no entry
+    assert db.create_table(schema).engine == "heap"
 
 
 def test_lsm_plan_requires_the_key_column():

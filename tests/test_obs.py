@@ -21,7 +21,9 @@ from __future__ import annotations
 import pytest
 
 from repro.catalog.database import Database
+from repro.catalog.schema import Attribute, TableSchema
 from repro.core.executor import bulk_delete
+from repro.core.integrity import ForeignKey, find_referencing_keys
 from repro.core.traditional import traditional_delete
 from repro.obs.export import export_document, trace_entry
 from repro.obs.metrics import MetricsRegistry
@@ -261,6 +263,26 @@ def test_detach_restores_the_disabled_state(db):
     with observed(db) as obs:
         assert db.obs is obs and db.disk.observer is obs
     assert db.obs is None and db.disk.observer is None
+
+
+def test_lsm_hooks_follow_the_disk_observer():
+    """An LSM tree reads ``disk.observer`` like every other storage
+    layer: probes that reach it without passing through ``Database``
+    credit the *attached* observer, never a previously detached one."""
+    db = Database(page_size=512, memory_bytes=64 * 1024)
+    db.create_table(
+        TableSchema.of("C", [Attribute.int_("K"), Attribute.int_("V")]),
+        engine="lsm",
+    )
+    with observed(db) as stale:
+        db.load_table("C", [(k, k) for k in range(20)])
+    fk = ForeignKey("C", "K", "P", "K")
+    with observed(db) as obs:
+        found = find_referencing_keys(db, fk, list(range(15, 25)))
+    assert found == [15, 16, 17, 18, 19]
+    assert obs.metrics.value("lsm.lookups") == 10
+    assert stale.metrics.value("lsm.lookups") == 0
+    assert db.table("C").lsm.observer is None  # detached again
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,17 @@ def test_empty_fragment_is_skipped_not_executed():
     assert plan.fragments[0].shard_id == 0
 
 
+def test_repeated_key_is_routed_once_through_the_one_entry_point():
+    """``bulk_delete`` serves a sharded table, and an IN-list with a
+    repeated key plans (and lints) like the set it denotes."""
+    wl = build_sharded_workload(CONFIG, shards=3)
+    keys = wl.delete_keys(0.1)
+    result = bulk_delete(wl.db, "R", "A", keys + keys[:5])
+    assert result.records_deleted == len(keys)
+    assert not result.reconciliation_problems()
+    assert not {a for _, (a, *_) in wl.db.scan("R")} & set(keys)
+
+
 def test_empty_delete_list():
     wl = build_sharded_workload(CONFIG, shards=3)
     result = sharded_bulk_delete(wl.db, "R", "A", [], lanes=2)
