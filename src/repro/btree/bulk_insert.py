@@ -73,14 +73,14 @@ def bulk_insert_sorted(
             take_until = n
         else:
             right = tree.read_leaf(next_id)
-            bound = right.first_key() if right.entries else MAX_KEY
+            bound = right.first_key() if right.keys else MAX_KEY
             take_until = i
             while take_until < n and sorted_entries[take_until][0] < bound:
                 take_until += 1
         incoming = list(sorted_entries[i:take_until])
         i = take_until
         if not incoming:
-            if node.entries:
+            if node.keys:
                 summaries.append((node.first_key(), page_id))
             else:
                 # A leftover empty leaf that receives nothing: unlink it
@@ -102,7 +102,7 @@ def bulk_insert_sorted(
 
 
 def _merge_entries(
-    tree: BLinkTree, existing: List[Entry], incoming: List[Entry]
+    tree: BLinkTree, existing: Sequence[Entry], incoming: List[Entry]
 ) -> List[Entry]:
     """Merge two sorted entry lists, enforcing uniqueness if required."""
     if tree.unique:

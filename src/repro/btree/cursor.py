@@ -42,5 +42,4 @@ class LeafCursor:
     def entries(self) -> Iterator[Entry]:
         """Flatten the sweep into a stream of ``(key, value)`` entries."""
         for leaf in self:
-            for entry in leaf.entries:
-                yield entry
+            yield from leaf.entries

@@ -55,9 +55,9 @@ def validate_tree(tree: BLinkTree) -> None:
     leftmost = tree.root_id
     node = tree._read(leftmost)
     while not node.is_leaf:
-        if not node.entries:
+        if not node.keys:
             raise IndexError_(f"inner node {node.page_id} is empty")
-        node = tree._read(node.entries[0][1])
+        node = tree._read(node.values[0])
     if node.page_id != tree.first_leaf_id:
         raise IndexError_(
             f"first_leaf_id {tree.first_leaf_id} but leftmost leaf "
@@ -76,13 +76,14 @@ def _validate_subtree(
     node = tree._read(page_id)
     if node.entry_count > tree.capacity_for(node):
         raise IndexError_(f"node {page_id} over capacity")
+    entries = node.entries
     for i in range(1, node.entry_count):
         if node.is_leaf:
-            if node.entries[i - 1] > node.entries[i]:
+            if entries[i - 1] > entries[i]:
                 raise IndexError_(f"node {page_id} entries not sorted")
-        elif node.entries[i - 1][0] > node.entries[i][0]:
+        elif node.keys[i - 1] > node.keys[i]:
             raise IndexError_(f"node {page_id} separators not sorted")
-    for key, _ in node.entries:
+    for key in node.keys:
         if key < low:
             raise IndexError_(
                 f"node {page_id} key {key} below lower bound {low}"
@@ -94,14 +95,14 @@ def _validate_subtree(
     if node.is_leaf:
         return node.entry_count
     total = 0
-    for i, (sep, child) in enumerate(node.entries):
+    for i, (sep, child) in enumerate(entries):
         # Child 0 may legitimately hold keys below its (stale) separator:
         # routing sends any key below the next separator to it.
         child_low = low if i == 0 else max(low, sep)
         # The (inclusive) upper bound is the next separator: a split
         # may leave equal keys on both sides of it.
         if i + 1 < node.entry_count:
-            later_sep = node.entries[i + 1][0]
+            later_sep = node.keys[i + 1]
             child_high = later_sep if high is None else min(later_sep, high)
         else:
             child_high = high
@@ -121,8 +122,8 @@ def _validate_chains(tree: BLinkTree) -> None:
                     raise IndexError_(
                         f"node {cursor.page_id} left link broken"
                     )
-                if prev.entries and cursor.entries:
-                    if prev.entries[-1][0] > cursor.entries[0][0]:
+                if prev.keys and cursor.keys:
+                    if prev.keys[-1] > cursor.keys[0]:
                         raise IndexError_(
                             f"chain order violated between {prev.page_id} "
                             f"and {cursor.page_id}"
@@ -135,9 +136,9 @@ def _validate_chains(tree: BLinkTree) -> None:
             )
         if head.is_leaf:
             return
-        if not head.entries:
+        if not head.keys:
             raise IndexError_(f"inner node {head.page_id} is empty")
-        level_head = head.entries[0][1]
+        level_head = head.values[0]
 
 
 def merge_underfull_leaves(tree: BLinkTree) -> int:
@@ -159,7 +160,7 @@ def merge_underfull_leaves(tree: BLinkTree) -> int:
             right = tree.read_leaf(node.right_id)
             if node.entry_count + right.entry_count > tree.leaf_capacity:
                 break
-            node.entries.extend(right.entries)
+            node.entries = (*node.entries, *right.entries)
             node.right_id = right.right_id
             node.high_key = right.high_key
             tree._write(node)
@@ -169,7 +170,7 @@ def merge_underfull_leaves(tree: BLinkTree) -> int:
                 tree._write(far)
             tree._free_node(right.page_id)
             merged += 1
-        if node.entries:
+        if node.keys:
             summaries.append((node.first_key(), node.page_id))
         page_id = node.right_id
     tree.rebuild_upper_levels(summaries or None)

@@ -22,12 +22,10 @@ supported by ordering entries on ``(key, value)``.
 
 from __future__ import annotations
 
-import bisect
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.btree.node import (
-    ENTRY_SIZE,
-    HEADER_SIZE,
     MAX_KEY,
     MIN_KEY,
     NO_NODE,
@@ -117,9 +115,7 @@ class BLinkTree:
         inclusive of the next separator) and lookups continue rightward
         along the sibling chain when needed.
         """
-        keys = inner.keys()
-        idx = max(0, bisect.bisect_left(keys, key) - 1)
-        return inner.entries[idx][1]
+        return inner.values[max(0, bisect_left(inner.keys, key) - 1)]
 
     def _descend(self, key: int) -> List[Node]:
         """Root-to-leaf path for ``key`` (each step is one page access)."""
@@ -148,13 +144,11 @@ class BLinkTree:
         node = self.find_leaf(key)
         values: List[int] = []
         while True:
-            keys = node.keys()
-            lo = bisect.bisect_left(keys, key)
-            hi = bisect.bisect_right(keys, key)
-            values.extend(value for _, value in node.entries[lo:hi])
+            lo, hi = node.key_range(key)
+            values.extend(node.values[lo:hi])
             if node.right_id == NO_NODE:
                 break
-            if node.entries and node.last_key() > key:
+            if node.keys and node.keys[-1] > key:
                 break
             node = self._read(node.right_id)
         return values
@@ -173,13 +167,10 @@ class BLinkTree:
         """Yield entries with ``lo <= key <= hi`` in key order."""
         node = self.find_leaf(lo)
         while True:
-            for key, value in node.entries:
-                if key < lo:
-                    continue
-                if key > hi:
-                    return
-                yield key, value
-            if node.right_id == NO_NODE:
+            start = bisect_left(node.keys, lo)
+            stop = bisect_right(node.keys, hi, start)
+            yield from zip(node.keys[start:stop], node.values[start:stop])
+            if stop < node.entry_count or node.right_id == NO_NODE:
                 return
             node = self._read(node.right_id)
 
@@ -197,7 +188,7 @@ class BLinkTree:
             raise UniqueViolationError(
                 f"duplicate key {key} in unique index {self.name}"
             )
-        bisect.insort(leaf.entries, (key, value))
+        leaf.insert_sorted(key, value)
         self._entry_count += 1
         if leaf.entry_count > self.capacity_for(leaf):
             self._split(path)
@@ -208,8 +199,7 @@ class BLinkTree:
         node = path[-1]
         mid = node.entry_count // 2
         sibling = self._allocate_node(node.level)
-        sibling.entries = node.entries[mid:]
-        node.entries = node.entries[:mid]
+        node.split_off(mid, sibling)
         sibling.right_id = node.right_id
         sibling.left_id = node.page_id
         node.right_id = sibling.page_id
@@ -221,34 +211,28 @@ class BLinkTree:
             self._write(right)
         self._write(node)
         self._write(sibling)
-        separator = (sibling.first_key(), sibling.page_id)
+        separator = sibling.first_key()
         if len(path) == 1:
             # The split node was the root: grow the tree by one level.
             new_root = self._allocate_node(node.level + 1)
-            new_root.entries = [
-                (node.first_key() if node.entries else MIN_KEY, node.page_id),
-                separator,
-            ]
+            new_root.insert_at(
+                0, node.first_key() if node.entry_count else MIN_KEY, node.page_id
+            )
+            new_root.insert_at(1, separator, sibling.page_id)
             self._write(new_root)
             self.root_id = new_root.page_id
             self.height += 1
             return
         parent = path[-2]
-        for pos, (sep, child) in enumerate(parent.entries):
-            if child == node.page_id:
-                # Child 0 may carry a stale-high separator (it absorbs
-                # every key below the next separator); after a split the
-                # new sibling's separator must not sort below it, so
-                # refresh it to the node's true minimum.
-                if sep > node.first_key():
-                    parent.entries[pos] = (node.first_key(), node.page_id)
-                parent.entries.insert(pos + 1, separator)
-                break
-        else:  # pragma: no cover - structural invariant
-            raise IndexError_(
-                f"split node {node.page_id} missing from parent "
-                f"{parent.page_id}"
-            )
+        pos = self._child_position(parent, node.page_id)
+        # Child 0 may carry a stale-high separator (it absorbs every key
+        # below the next separator); after a split the new sibling's
+        # separator must not sort below it, so refresh it to the node's
+        # true minimum.
+        if parent.keys[pos] > node.first_key():
+            parent.delete_at(pos)
+            parent.insert_at(pos, node.first_key(), node.page_id)
+        parent.insert_at(pos + 1, separator, sibling.page_id)
         if parent.entry_count > self.capacity_for(parent):
             self._split(path[:-1])
         else:
@@ -273,7 +257,7 @@ class BLinkTree:
         while True:
             idx = self._find_entry(node, key, value)
             if idx is not None:
-                del node.entries[idx]
+                node.delete_at(idx)
                 self._entry_count -= 1
                 if node.entry_count == 0 and self.height > 1:
                     self._free_empty_leaf(self._true_path(node, path))
@@ -282,7 +266,7 @@ class BLinkTree:
                 return True
             if node.right_id == NO_NODE:
                 return False
-            if node.entries and node.last_key() > key:
+            if node.keys and node.keys[-1] > key:
                 return False
             node = self._read(node.right_id)
 
@@ -301,7 +285,7 @@ class BLinkTree:
         for depth in range(len(approx_path) - 2, -1, -1):
             child_pid = chain[0].page_id
             node = approx_path[depth]
-            while not any(pid == child_pid for _, pid in node.entries):
+            while child_pid not in node.values:
                 if node.right_id == NO_NODE:  # pragma: no cover
                     raise IndexError_(
                         f"node {child_pid} unreachable from level "
@@ -313,13 +297,20 @@ class BLinkTree:
 
     @staticmethod
     def _find_entry(node: Node, key: int, value: Optional[int]) -> Optional[int]:
-        keys = node.keys()
-        lo = bisect.bisect_left(keys, key)
-        hi = bisect.bisect_right(keys, key)
-        for idx in range(lo, hi):
-            if value is None or node.entries[idx][1] == value:
-                return idx
-        return None
+        lo, hi = node.key_range(key)
+        if value is None:
+            return lo if lo < hi else None
+        run = node.values[lo:hi]
+        return lo + run.index(value) if value in run else None
+
+    @staticmethod
+    def _child_position(parent: Node, child_id: int) -> int:
+        try:
+            return parent.values.index(child_id)
+        except ValueError:  # pragma: no cover - structural invariant
+            raise IndexError_(
+                f"child {child_id} not found in parent {parent.page_id}"
+            ) from None
 
     def _free_empty_leaf(self, path: List[Node]) -> None:
         """Free-at-empty: reclaim an empty node and fix parents."""
@@ -344,14 +335,7 @@ class BLinkTree:
 
     def _remove_child(self, path: List[Node], child_id: int) -> None:
         parent = path[-1]
-        for idx, (_, pid) in enumerate(parent.entries):
-            if pid == child_id:
-                del parent.entries[idx]
-                break
-        else:  # pragma: no cover - structural invariant
-            raise IndexError_(
-                f"child {child_id} not found in parent {parent.page_id}"
-            )
+        parent.delete_at(self._child_position(parent, child_id))
         if parent.entry_count == 0 and len(path) > 1:
             self._unlink_from_chain(parent)
             self._free_node(parent.page_id)
@@ -364,7 +348,7 @@ class BLinkTree:
             root = self._read(self.root_id)
             if root.is_leaf or root.entry_count != 1:
                 return
-            child_id = root.entries[0][1]
+            child_id = root.values[0]
             self._free_node(root.page_id)
             self.root_id = child_id
             self.height -= 1
@@ -452,8 +436,8 @@ class BLinkTree:
             first_child: Optional[int] = None
             while cursor is not None:
                 pages.append(cursor.page_id)
-                if first_child is None and not cursor.is_leaf and cursor.entries:
-                    first_child = cursor.entries[0][1]
+                if first_child is None and not cursor.is_leaf and cursor.keys:
+                    first_child = cursor.values[0]
                 cursor = (
                     self._read(cursor.right_id)
                     if cursor.right_id != NO_NODE
@@ -480,15 +464,12 @@ class BLinkTree:
             raise IndexError_(f"page {page_id} is not a leaf")
         return node
 
-    def write_leaf_entries(self, page_id: int, entries: List[Entry]) -> None:
+    def write_leaf_entries(self, page_id: int, entries: Sequence[Entry]) -> None:
         """Replace a leaf's entries in place (bulk-delete edit)."""
         with self.pool.pin(page_id) as pinned:
-            node = Node.unpack_from(page_id, pinned.data)
-            removed = node.entry_count - len(entries)
-            node.entries = entries
-            node.pack_into(pinned.data)
+            before = Node.replace_entries(pinned.data, entries)
             pinned.mark_dirty()
-        self._entry_count -= removed
+        self._entry_count -= before - len(entries)
 
     def unlink_and_free_leaves(self, page_ids: Sequence[int]) -> None:
         """Free leaves emptied by a sweep (free-at-empty, deferred).
@@ -499,7 +480,7 @@ class BLinkTree:
         """
         for page_id in page_ids:
             node = self._read(page_id)
-            if node.entries:
+            if node.keys:
                 raise IndexError_(f"leaf {page_id} is not empty")
             self._unlink_from_chain(node)
             if page_id == self.first_leaf_id:
@@ -520,7 +501,7 @@ class BLinkTree:
             leaf_summaries = []
             for page_id in self.iter_leaf_ids():
                 node = self._read(page_id)
-                if node.entries:
+                if node.keys:
                     leaf_summaries.append((node.first_key(), page_id))
         for pid in old_inner:
             self._free_node(pid)
@@ -547,8 +528,8 @@ class BLinkTree:
             first_child: Optional[int] = None
             while cursor is not None:
                 pages.append(cursor.page_id)
-                if first_child is None and cursor.entries:
-                    first_child = cursor.entries[0][1]
+                if first_child is None and cursor.keys:
+                    first_child = cursor.values[0]
                 cursor = (
                     self._read(cursor.right_id)
                     if cursor.right_id != NO_NODE

@@ -111,14 +111,15 @@ def bd_index_sort_merge(
         node = tree.read_leaf(page_id)
         result.pages_visited += 1
         next_id = node.right_id
-        kept = node.entries
-        if node.entries and (
-            carry or (i < n and sorted_pairs[i][0] <= node.entries[-1][0])
+        entries = node.entries
+        kept = entries
+        if entries and (
+            carry or (i < n and sorted_pairs[i][0] <= entries[-1][0])
         ):
             kept, removed, i, carry = _merge_out(
-                node.entries, sorted_pairs, i, n, match_rid, carry
+                entries, sorted_pairs, i, n, match_rid, carry
             )
-            disk.charge_cpu_records(len(node.entries))
+            disk.charge_cpu_records(len(entries))
             if removed:
                 if on_removed is not None:
                     # WAL protocol: the redo record must be durable
@@ -136,7 +137,7 @@ def bd_index_sort_merge(
 
 
 def _merge_out(
-    entries: List[Entry],
+    entries: Sequence[Entry],
     sorted_pairs: Sequence[Entry],
     i: int,
     n: int,
@@ -206,13 +207,12 @@ def bd_index_hash_probe(
         node = tree.read_leaf(page_id)
         result.pages_visited += 1
         next_id = node.right_id
-        disk.charge_cpu_records(len(node.entries))
-        kept = [
-            e for e in node.entries if e[1] not in rid_set or e in protected
-        ]
-        if len(kept) != len(node.entries):
+        entries = node.entries
+        disk.charge_cpu_records(len(entries))
+        kept = [e for e in entries if e[1] not in rid_set or e in protected]
+        if len(kept) != len(entries):
             result.deleted.extend(
-                e for e in node.entries if e[1] in rid_set and e not in protected
+                e for e in entries if e[1] in rid_set and e not in protected
             )
             tree.write_leaf_entries(page_id, kept)
         if kept:
@@ -267,14 +267,13 @@ def bd_index_partitioned(
             node = tree.read_leaf(page_id)
             result.pages_visited += 1
             next_id = node.right_id
-            if node.entries and node.first_key() > hi:
+            if node.keys and node.first_key() > hi:
                 break
-            disk.charge_cpu_records(len(node.entries))
-            kept = [e for e in node.entries if e[1] not in rid_set]
-            if len(kept) != len(node.entries):
-                result.deleted.extend(
-                    e for e in node.entries if e[1] in rid_set
-                )
+            entries = node.entries
+            disk.charge_cpu_records(len(entries))
+            kept = [e for e in entries if e[1] not in rid_set]
+            if len(kept) != len(entries):
+                result.deleted.extend(e for e in entries if e[1] in rid_set)
                 tree.write_leaf_entries(page_id, kept)
             page_id = next_id
         partition.free()
@@ -284,7 +283,7 @@ def bd_index_partitioned(
     while page_id != NO_NODE:
         node = tree.read_leaf(page_id)
         next_id = node.right_id
-        if node.entries:
+        if node.keys:
             summaries.append((node.first_key(), page_id))
         else:
             empties.append(page_id)
@@ -317,11 +316,12 @@ def collect_index_matches(
         node = tree.read_leaf(page_id)
         result.pages_visited += 1
         next_id = node.right_id
-        if node.entries and keys[i] <= node.entries[-1][0]:
-            disk.charge_cpu_records(len(node.entries))
+        if node.keys and keys[i] <= node.keys[-1]:
+            last_key = node.keys[-1]
+            disk.charge_cpu_records(node.entry_count)
             wanted = set()
             j = i
-            while j < n and keys[j] <= node.entries[-1][0]:
+            while j < n and keys[j] <= last_key:
                 wanted.add(keys[j])
                 j += 1
             result.deleted.extend(
@@ -329,7 +329,7 @@ def collect_index_matches(
             )
             # Keys equal to the leaf's last key may continue rightward.
             i = j
-            while i > 0 and keys[i - 1] == node.entries[-1][0]:
+            while i > 0 and keys[i - 1] == last_key:
                 i -= 1
                 break
         page_id = next_id

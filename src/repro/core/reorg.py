@@ -103,17 +103,17 @@ def sweep_with_base_node_reorg(
         base = tree._read(base_id)
         next_base = base.right_id
         new_children: List[Entry] = []
-        for _, leaf_id in base.entries:
-            leaf = tree.read_leaf(leaf_id)
+        for leaf_id in base.values:
+            entries = tree.read_leaf(leaf_id).entries
             result.pages_visited += 1
-            kept = leaf.entries
-            if leaf.entries and (
-                carry or (i < n and sorted_pairs[i][0] <= leaf.entries[-1][0])
+            kept = entries
+            if entries and (
+                carry or (i < n and sorted_pairs[i][0] <= entries[-1][0])
             ):
                 kept, removed, i, carry = _merge_out(
-                    leaf.entries, sorted_pairs, i, n, match_rid, carry
+                    entries, sorted_pairs, i, n, match_rid, carry
                 )
-                disk.charge_cpu_records(len(leaf.entries))
+                disk.charge_cpu_records(len(entries))
                 if removed:
                     result.deleted.extend(removed)
                     tree.write_leaf_entries(leaf_id, kept)
@@ -138,9 +138,9 @@ def sweep_with_base_node_reorg(
 def _leftmost_at_level(tree: BLinkTree, level: int) -> int:
     node = tree._read(tree.root_id)
     while node.level > level:
-        if not node.entries:
+        if not node.keys:
             raise IndexError_(f"inner node {node.page_id} is empty")
-        node = tree._read(node.entries[0][1])
+        node = tree._read(node.values[0])
     if node.level != level:
         raise IndexError_(f"tree has no level {level}")
     return node.page_id
@@ -158,8 +158,8 @@ def _rebuild_above_level_one(
         first_child: Optional[int] = None
         while cursor is not None:
             old.append(cursor.page_id)
-            if first_child is None and cursor.entries:
-                first_child = cursor.entries[0][1]
+            if first_child is None and cursor.keys:
+                first_child = cursor.values[0]
             cursor = (
                 tree._read(cursor.right_id)
                 if cursor.right_id != NO_NODE

@@ -14,14 +14,20 @@ Bucket page layout (little-endian)::
 
     u16 entry_count   u16 reserved   i64 overflow_page (0 = none)
     entries: (i64 key, i64 value) pairs
+
+The pairs use the B-link node's codec
+(:func:`repro.btree.node.unpack_pairs` / ``pack_pairs``): decoded, a
+bucket page is a key column and a value column.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
+from repro.btree.node import pack_pairs, unpack_pairs
 from repro.errors import IndexError_, UniqueViolationError
 from repro.storage.buffer import BufferPool
 
@@ -37,33 +43,42 @@ def _hash_key(key: int, buckets: int) -> int:
     return ((key * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)) % buckets
 
 
+def _column() -> array[int]:
+    return array("q")
+
+
 @dataclass
 class _BucketPage:
-    """Decoded bucket page."""
+    """Decoded bucket page: parallel key and value columns."""
 
     page_id: int
-    entries: List[Entry]
-    overflow: int  # 0 = none
+    keys: array[int] = field(default_factory=_column)
+    values: array[int] = field(default_factory=_column)
+    overflow: int = 0  # 0 = none
 
     @classmethod
     def unpack(cls, page_id: int, data: bytes) -> "_BucketPage":
         count, _, overflow = _HEADER.unpack_from(data, 0)
-        flat = struct.unpack_from(f"<{2 * count}q", data, HEADER_SIZE)
-        entries = [(flat[2 * i], flat[2 * i + 1]) for i in range(count)]
-        return cls(page_id, entries, overflow)
+        keys, values = unpack_pairs(data, HEADER_SIZE, count)
+        return cls(page_id, keys, values, overflow)
 
     def pack_into(self, data: bytearray) -> None:
-        if HEADER_SIZE + ENTRY_SIZE * len(self.entries) > len(data):
-            raise IndexError_(
-                f"bucket page {self.page_id} overflow: "
-                f"{len(self.entries)} entries"
-            )
-        _HEADER.pack_into(data, 0, len(self.entries), 0, self.overflow)
-        if self.entries:
-            flat: List[int] = []
-            for key, value in self.entries:
-                flat.extend((key, value))
-            struct.pack_into(f"<{len(flat)}q", data, HEADER_SIZE, *flat)
+        # Entries first: an over-full page raises with ``data`` untouched.
+        pack_pairs(data, HEADER_SIZE, self.keys, self.values)
+        _HEADER.pack_into(data, 0, len(self.keys), 0, self.overflow)
+
+    def append(self, key: int, value: int) -> None:
+        self.keys.append(key)
+        self.values.append(value)
+
+    def positions(self, key: int) -> Iterator[int]:
+        """Positions of the entries with ``key``, found by C-level scans
+        of the key column."""
+        pos = 0
+        for _ in range(self.keys.count(key)):
+            pos += self.keys[pos:].index(key)
+            yield pos
+            pos += 1
 
 
 class HashIndex:
@@ -96,7 +111,7 @@ class HashIndex:
         self._buckets: List[int] = []
         for _ in range(bucket_count):
             with pool.pin_new(self.file_id) as pinned:
-                page = _BucketPage(pinned.page_id, [], 0)
+                page = _BucketPage(pinned.page_id)
                 page.pack_into(pinned.data)
                 pinned.mark_dirty()
                 self._buckets.append(pinned.page_id)
@@ -145,15 +160,16 @@ class HashIndex:
             )
         last: Optional[_BucketPage] = None
         for page in self._chain(key):
-            if len(page.entries) < self.capacity_per_page:
-                page.entries.append((key, value))
+            if len(page.keys) < self.capacity_per_page:
+                page.append(key, value)
                 self._write(page)
                 self._entry_count += 1
                 return
             last = page
         assert last is not None
         with self.pool.pin_new(self.file_id) as pinned:
-            overflow = _BucketPage(pinned.page_id, [(key, value)], 0)
+            overflow = _BucketPage(pinned.page_id)
+            overflow.append(key, value)
             overflow.pack_into(pinned.data)
             pinned.mark_dirty()
         last.overflow = overflow.page_id
@@ -162,10 +178,9 @@ class HashIndex:
 
     def search(self, key: int) -> List[int]:
         return [
-            value
+            page.values[pos]
             for page in self._chain(key)
-            for k, value in page.entries
-            if k == key
+            for pos in page.positions(key)
         ]
 
     def contains(self, key: int, value: Optional[int] = None) -> bool:
@@ -175,9 +190,10 @@ class HashIndex:
     def delete(self, key: int, value: Optional[int] = None) -> bool:
         """Remove one matching entry; returns whether one was found."""
         for page in self._chain(key):
-            for idx, (k, v) in enumerate(page.entries):
-                if k == key and (value is None or v == value):
-                    del page.entries[idx]
+            for pos in page.positions(key):
+                if value is None or page.values[pos] == value:
+                    del page.keys[pos]
+                    del page.values[pos]
                     self._write(page)
                     self._entry_count -= 1
                     return True
@@ -196,7 +212,7 @@ class HashIndex:
             page_id = bucket
             while page_id:
                 page = self._read(page_id)
-                yield from page.entries
+                yield from zip(page.keys, page.values)
                 page_id = page.overflow
 
     def page_count(self) -> int:
@@ -221,12 +237,12 @@ class HashIndex:
                     )
                 seen.add(page_id)
                 page = self._read(page_id)
-                for key, _ in page.entries:
+                for key in page.keys:
                     if _hash_key(key, self.bucket_count) != bucket_no:
                         raise IndexError_(
                             f"key {key} in wrong bucket {bucket_no}"
                         )
-                total += len(page.entries)
+                total += len(page.keys)
                 page_id = page.overflow
         if total != self._entry_count:
             raise IndexError_(

@@ -399,7 +399,7 @@ def erase_traces(
     # 3. B-trees: zero node slack beyond the live entry region — a
     #    leaf edit rewrites header + entries and leaves the old tail
     #    bytes (deleted keys and RIDs) in place past the entry count.
-    from repro.btree.node import ENTRY_SIZE, HEADER_SIZE, Node
+    from repro.btree.node import Node
 
     for table_name in heap_tables:
         table = db.table(table_name)
@@ -408,8 +408,7 @@ def erase_traces(
                 continue
             for page_id in ix.tree._collect_pages():  # type: ignore[union-attr]
                 with db.pool.pin(page_id) as pinned:
-                    node_view = Node.unpack_from(page_id, pinned.data)
-                    live_end = HEADER_SIZE + ENTRY_SIZE * node_view.entry_count
+                    live_end = Node.live_end(pinned.data)
                     if any(pinned.data[live_end:]):
                         pinned.data[live_end:] = bytes(
                             len(pinned.data) - live_end

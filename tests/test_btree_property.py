@@ -19,8 +19,10 @@ from hypothesis.stateful import (
 
 from repro.btree.maintenance import validate_tree
 from repro.btree.tree import BLinkTree
+from repro.core.bulk_ops import bd_index_sort_merge
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
+from tests.reference_codec import durable_pages, use_reference_codec
 
 
 def make_tree(leaf_cap=4, inner_cap=4):
@@ -93,6 +95,40 @@ def test_range_scan_matches_model(pairs, lo, hi):
     tree.bulk_load(sorted(pairs))
     expected = sorted((k, v) for k, v in pairs if lo <= k <= hi)
     assert list(tree.range_scan(lo, hi)) == expected
+
+
+def _durable_image_after(pairs, doomed, swept):
+    """Insert, point-delete and leaf-sweep on a fresh tree; the bytes on
+    its disk afterwards (stale tails and freed pages included)."""
+    tree = make_tree()
+    for key, value in pairs:
+        tree.insert(key, value)
+    for key, value in doomed:
+        assert tree.delete(key, value)
+    bd_index_sort_merge(tree, swept, tree.pool.disk)
+    validate_tree(tree)
+    tree.pool.flush_all()
+    return durable_pages(tree.pool.disk)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.lists(st.tuples(keys, values), unique=True, max_size=100),
+    st.data(),
+)
+def test_durable_pages_identical_to_reference_codec(monkeypatch, pairs, data):
+    subset = st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])
+    doomed = data.draw(subset)
+    swept = sorted(set(data.draw(subset)) - set(doomed))
+    columnar = _durable_image_after(pairs, doomed, swept)
+    with monkeypatch.context() as patch:
+        use_reference_codec(patch)
+        reference = _durable_image_after(pairs, doomed, swept)
+    assert columnar == reference
 
 
 class TreeMachine(RuleBasedStateMachine):

@@ -21,6 +21,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.txn.coordinator import BulkDeleteCoordinator
 from tests.conftest import populate
+from tests.reference_codec import durable_pages, use_reference_codec
 
 
 @pytest.fixture
@@ -63,6 +64,28 @@ def test_delete_from_overflow_page(hash_index):
         assert hash_index.delete(i, i)
     assert hash_index.entry_count == 1000
     hash_index.validate()
+
+
+def test_durable_pages_identical_to_reference_codec(monkeypatch):
+    def run():
+        disk = SimulatedDisk(page_size=512)
+        index = HashIndex(BufferPool(disk, capacity_pages=64), bucket_count=4)
+        rng = random.Random(3)
+        keys = [rng.randrange(-(1 << 63), 1 << 63) for _ in range(300)]
+        for i, key in enumerate(keys + keys[:40]):  # duplicates, overflow pages
+            index.insert(key, i)
+        assert index.page_count() > index.bucket_count
+        for i, key in enumerate(keys[::3]):
+            assert index.delete(key, 3 * i)
+        assert sorted(index.search(keys[1])) == [1, 301]
+        index.validate()
+        index.pool.flush_all()
+        return durable_pages(disk)
+
+    columnar = run()
+    with monkeypatch.context() as patch:
+        use_reference_codec(patch)
+        assert run() == columnar
 
 
 def test_unique_hash_index():
