@@ -1,7 +1,6 @@
 """B-link tree index structure (leaf-chained B+-tree)."""
 
 from repro.btree.bulk_insert import BulkInsertResult, bulk_insert_sorted
-from repro.btree.cursor import LeafCursor
 from repro.btree.maintenance import (
     ReclaimPolicy,
     merge_underfull_leaves,
@@ -14,7 +13,6 @@ __all__ = [
     "BLinkTree",
     "BulkInsertResult",
     "bulk_insert_sorted",
-    "LeafCursor",
     "MAX_KEY",
     "MIN_KEY",
     "Node",

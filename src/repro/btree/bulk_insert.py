@@ -61,18 +61,14 @@ def bulk_insert_sorted(
     per_leaf = max(2, int(tree.leaf_capacity * fill_factor))
     i = 0
     summaries: List[Entry] = []
-    page_id = tree.first_leaf_id
-    while page_id != NO_NODE:
-        node = tree.read_leaf(page_id)
+    for node in tree.leaves():
         result.pages_visited += 1
-        next_id = node.right_id
-        is_last = next_id == NO_NODE
         # Upper bound of keys this leaf should absorb: the next leaf's
         # first key (strictly below it), or everything if last.
-        if is_last:
+        if node.right_id == NO_NODE:
             take_until = n
         else:
-            right = tree.read_leaf(next_id)
+            right = tree.read_leaf(node.right_id)
             bound = right.first_key() if right.keys else MAX_KEY
             take_until = i
             while take_until < n and sorted_entries[take_until][0] < bound:
@@ -81,12 +77,11 @@ def bulk_insert_sorted(
         i = take_until
         if not incoming:
             if node.keys:
-                summaries.append((node.first_key(), page_id))
+                summaries.append((node.first_key(), node.page_id))
             else:
                 # A leftover empty leaf that receives nothing: unlink it
                 # now, since the rebuilt inner levels will not know it.
-                tree.unlink_and_free_leaves([page_id])
-            page_id = next_id
+                tree.unlink_and_free_leaves([node.page_id])
             continue
         disk.charge_cpu_records(len(incoming) + node.entry_count)
         merged = _merge_entries(tree, node.entries, incoming)
@@ -95,7 +90,6 @@ def bulk_insert_sorted(
             tree, node, merged, per_leaf, summaries
         )
         result.pages_created += created
-        page_id = next_id
     tree._entry_count += result.inserted
     tree.rebuild_upper_levels(summaries if summaries else None)
     return result

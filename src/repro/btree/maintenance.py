@@ -11,7 +11,7 @@ concluded leaf merging after deletions is usually not worth it).
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.btree.node import MIN_KEY, NO_NODE, Node
 from repro.btree.tree import BLinkTree
@@ -111,34 +111,18 @@ def _validate_subtree(
 
 
 def _validate_chains(tree: BLinkTree) -> None:
-    level_head = tree.root_id
-    while True:
-        head = tree._read(level_head)
-        prev: Optional[Node] = None
-        cursor: Optional[Node] = head
-        while cursor is not None:
-            if prev is not None:
-                if cursor.left_id != prev.page_id:
-                    raise IndexError_(
-                        f"node {cursor.page_id} left link broken"
-                    )
-                if prev.keys and cursor.keys:
-                    if prev.keys[-1] > cursor.keys[0]:
-                        raise IndexError_(
-                            f"chain order violated between {prev.page_id} "
-                            f"and {cursor.page_id}"
-                        )
-            prev = cursor
-            cursor = (
-                tree._read(cursor.right_id)
-                if cursor.right_id != NO_NODE
-                else None
-            )
-        if head.is_leaf:
-            return
-        if not head.keys:
+    for nodes in tree.levels():
+        for prev, cursor in zip(nodes, nodes[1:]):
+            if cursor.left_id != prev.page_id:
+                raise IndexError_(f"node {cursor.page_id} left link broken")
+            if prev.keys and cursor.keys and prev.keys[-1] > cursor.keys[0]:
+                raise IndexError_(
+                    f"chain order violated between {prev.page_id} "
+                    f"and {cursor.page_id}"
+                )
+        head = nodes[0]
+        if not head.is_leaf and not head.keys:
             raise IndexError_(f"inner node {head.page_id} is empty")
-        level_head = head.values[0]
 
 
 def merge_underfull_leaves(tree: BLinkTree) -> int:
@@ -149,29 +133,26 @@ def merge_underfull_leaves(tree: BLinkTree) -> int:
     levels are rebuilt afterwards.  Returns the number of leaves freed.
     """
     merged = 0
-    summaries: List[Tuple[int, int]] = []
-    page_id = tree.first_leaf_id
-    while page_id != NO_NODE:
-        node = tree.read_leaf(page_id)
-        while (
-            node.right_id != NO_NODE
-            and node.entry_count < tree.leaf_capacity // 2
+    survivors: List[Node] = []
+    for right in tree.leaves():
+        node = survivors[-1] if survivors else None
+        if (
+            node is None
+            or node.entry_count >= tree.leaf_capacity // 2
+            or node.entry_count + right.entry_count > tree.leaf_capacity
         ):
-            right = tree.read_leaf(node.right_id)
-            if node.entry_count + right.entry_count > tree.leaf_capacity:
-                break
-            node.entries = (*node.entries, *right.entries)
-            node.right_id = right.right_id
-            node.high_key = right.high_key
-            tree._write(node)
-            if right.right_id != NO_NODE:
-                far = tree._read(right.right_id)
-                far.left_id = node.page_id
-                tree._write(far)
-            tree._free_node(right.page_id)
-            merged += 1
-        if node.keys:
-            summaries.append((node.first_key(), node.page_id))
-        page_id = node.right_id
+            survivors.append(right)
+            continue
+        node.entries = (*node.entries, *right.entries)
+        node.right_id = right.right_id
+        node.high_key = right.high_key
+        tree._write(node)
+        if right.right_id != NO_NODE:
+            far = tree._read(right.right_id)
+            far.left_id = node.page_id
+            tree._write(far)
+        tree._free_node(right.page_id)
+        merged += 1
+    summaries = [(n.first_key(), n.page_id) for n in survivors if n.keys]
     tree.rebuild_upper_levels(summaries or None)
     return merged

@@ -409,11 +409,17 @@ class BLinkTree:
         return [(node.first_key(), node.page_id) for node in nodes]
 
     def _build_upper_from(
-        self, summaries: List[Entry], fill_factor: float = DEFAULT_FILL_FACTOR
+        self,
+        summaries: List[Entry],
+        fill_factor: float = DEFAULT_FILL_FACTOR,
+        level: int = 1,
     ) -> None:
-        """Build inner levels above ``summaries`` and install the root."""
+        """Build inner levels above ``summaries`` and install the root.
+
+        ``summaries`` describe the nodes of ``level - 1``; the base-node
+        reorganization keeps its level-1 nodes and starts at level 2.
+        """
         per_inner = max(2, int(self.inner_capacity * fill_factor))
-        level = 1
         current = summaries
         while len(current) > 1:
             current = self._build_level(current, level=level, per_node=per_inner)
@@ -423,40 +429,65 @@ class BLinkTree:
 
     def _drop_all_nodes(self) -> None:
         """Free every node of the tree (used before a rebuild)."""
-        for page_id in self._collect_pages():
+        for page_id in self._page_ids():
             self._free_node(page_id)
 
-    def _collect_pages(self) -> List[int]:
-        """All node page ids, found by walking each level's chain."""
-        pages: List[int] = []
-        node = self._read(self.root_id)
-        while True:
-            # Walk the chain of this level starting from its leftmost node.
-            cursor: Optional[Node] = node
-            first_child: Optional[int] = None
-            while cursor is not None:
-                pages.append(cursor.page_id)
-                if first_child is None and not cursor.is_leaf and cursor.keys:
-                    first_child = cursor.values[0]
-                cursor = (
-                    self._read(cursor.right_id)
-                    if cursor.right_id != NO_NODE
-                    else None
-                )
-            if node.is_leaf or first_child is None:
-                return pages
-            node = self._read(first_child)
+    def _page_ids(self, lowest: int = 0) -> List[int]:
+        """Page ids of every node at or above level ``lowest``."""
+        return [n.page_id for nodes in self.levels(lowest) for n in nodes]
+
+    def _reset_to_empty_leaf(self) -> None:
+        """Everything was deleted: the tree is a single empty leaf."""
+        if self.first_leaf_id == NO_NODE:
+            self.first_leaf_id = self._allocate_node(level=0).page_id
+        self.root_id = self.first_leaf_id
+        self.height = 1
 
     # ------------------------------------------------------------------
-    # leaf-sweep support (bulk delete core)
+    # chain walkers and leaf-sweep support (bulk delete core)
     # ------------------------------------------------------------------
-    def iter_leaf_ids(self) -> Iterator[int]:
-        """Leaf page ids in key order (via the sibling chain)."""
-        page_id = self.first_leaf_id
+    def _chain(self, page_id: int) -> Iterator[Node]:
+        """Nodes from ``page_id`` rightward along one level's sibling
+        chain, one page access each (the chain walker).
+
+        The walk follows the right link a node had when it was read, so
+        the consumer may rewrite, split or free the node it was handed.
+        """
         while page_id != NO_NODE:
             node = self._read(page_id)
-            yield page_id
             page_id = node.right_id
+            yield node
+
+    def leaves(self, start_key: Optional[int] = None) -> Iterator[Node]:
+        """Leaves in key order: from the first leaf, or — after a
+        root-to-leaf descent — from the leaf an operation on
+        ``start_key`` would land on."""
+        if start_key is None:
+            start = self.first_leaf_id
+        else:
+            start = self.find_leaf(start_key).page_id
+        for node in self._chain(start):
+            if not node.is_leaf:
+                raise IndexError_(f"page {node.page_id} is not a leaf")
+            yield node
+
+    def levels(self, lowest: int = 0) -> Iterator[List[Node]]:
+        """Each level's nodes left to right, root level first, down to
+        level ``lowest`` (the level walker).
+
+        A level is entered through the first child of its parent
+        level's first non-empty node, and nothing below ``lowest`` is
+        read — so inner levels can be walked while leaf-level children
+        are dangling (a sweep may have freed empty leaves before the
+        rebuild fixes the parents).
+        """
+        nodes = list(self._chain(self.root_id))
+        while nodes[0].level >= lowest:
+            yield nodes
+            head = next((n for n in nodes if n.keys), None)
+            if nodes[0].level == lowest or head is None:
+                return
+            nodes = list(self._chain(head.values[0]))
 
     def read_leaf(self, page_id: int) -> Node:
         node = self._read(page_id)
@@ -496,49 +527,19 @@ class BLinkTree:
         can be supplied by a sweep that already visited every leaf, so
         the chain does not have to be re-read.
         """
-        old_inner = self._collect_inner_pages()
+        old_inner = self._page_ids(lowest=1)
         if leaf_summaries is None:
-            leaf_summaries = []
-            for page_id in self.iter_leaf_ids():
-                node = self._read(page_id)
-                if node.keys:
-                    leaf_summaries.append((node.first_key(), page_id))
+            leaf_summaries = [
+                (leaf.first_key(), leaf.page_id)
+                for leaf in self.leaves()
+                if leaf.keys
+            ]
         for pid in old_inner:
             self._free_node(pid)
         if not leaf_summaries:
-            # Everything was deleted: reset to a single empty leaf.
-            if self.first_leaf_id == NO_NODE:
-                root = self._allocate_node(level=0)
-                self.first_leaf_id = root.page_id
-            self.root_id = self.first_leaf_id
-            self.height = 1
+            self._reset_to_empty_leaf()
             return
         self._build_upper_from(leaf_summaries)
-
-    def _collect_inner_pages(self) -> List[int]:
-        """Inner page ids, walked level by level without touching leaves.
-
-        Safe to call while leaf-level children are dangling (a sweep may
-        have freed empty leaves before the rebuild fixes the parents).
-        """
-        pages: List[int] = []
-        node = self._read(self.root_id)
-        while not node.is_leaf:
-            cursor: Optional[Node] = node
-            first_child: Optional[int] = None
-            while cursor is not None:
-                pages.append(cursor.page_id)
-                if first_child is None and cursor.keys:
-                    first_child = cursor.values[0]
-                cursor = (
-                    self._read(cursor.right_id)
-                    if cursor.right_id != NO_NODE
-                    else None
-                )
-            if node.level <= 1 or first_child is None:
-                break
-            node = self._read(first_child)
-        return pages
 
     # ------------------------------------------------------------------
     # introspection
@@ -548,15 +549,14 @@ class BLinkTree:
         return self._entry_count
 
     def node_count(self) -> int:
-        return len(self._collect_pages())
+        return len(self._page_ids())
 
     def leaf_count(self) -> int:
-        return sum(1 for _ in self.iter_leaf_ids())
+        return sum(1 for _ in self.leaves())
 
     def drop(self) -> None:
         """Free every page; the tree is unusable afterwards."""
-        for page_id in self._collect_pages():
-            self._free_node(page_id)
+        self._drop_all_nodes()
         self.root_id = NO_NODE
         self.first_leaf_id = NO_NODE
         self.height = 0

@@ -14,6 +14,12 @@ adapting the delete list to that structure's physical layout:
 * :func:`bd_heap_sorted_rids` — sweep the base table in RID order,
 * :func:`bd_heap_hash_probe` — scan the base table probing a RID set.
 
+The index-side primitives are one operator: :func:`_sweep` visits a
+sequence of leaves and owns what they share (visit count, CPU charge,
+protected entries, redo hook before the write, the in-place write);
+each primitive supplies a *selector* — how a leaf's victims are
+recognised — and a *leaf source* — which leaves are visited.
+
 Every primitive returns the deleted entries, because "the output of the
 ``bd`` operator can serve as the input of another ``bd``" — that piping
 is what makes the vertical approach work.  All primitives operate *in
@@ -25,9 +31,18 @@ Section 2.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.btree.node import MAX_KEY, MIN_KEY, NO_NODE
+from repro.btree.node import MAX_KEY, MIN_KEY, Node
 from repro.btree.tree import BLinkTree
 from repro.catalog.catalog import TableInfo
 from repro.query.hashtable import BYTES_PER_SET_ENTRY, BoundedHashSet
@@ -54,6 +69,78 @@ class BdResult:
         return len(self.deleted)
 
 
+#: A selector splits one (non-empty) leaf's entries into ``(kept,
+#: removed)``, both in leaf order, or returns ``None`` when the leaf
+#: cannot hold a victim and need not be examined.
+Selector = Callable[[Node], Optional[Tuple[Sequence[Entry], List[Entry]]]]
+
+
+# ----------------------------------------------------------------------
+# the leaf-sweep kernel: what every index-side ``bd`` shares
+# ----------------------------------------------------------------------
+def _sweep(
+    tree: BLinkTree,
+    leaves: Iterable[Node],
+    select: Selector,
+    disk: SimulatedDisk,
+    result: BdResult,
+    protected: Optional[Set[Entry]] = None,
+    on_removed: Optional[Callable[[List[Entry]], None]] = None,
+    write: bool = True,
+    free_in_flight: bool = False,
+) -> Tuple[List[Entry], List[int]]:
+    """Visit ``leaves`` once and in order, removing what ``select`` picks.
+
+    The methods differ only in *how* a leaf's victims are recognised
+    (``select``: :class:`_MergeSelector` or :func:`_rid_selector`) and
+    in *which* leaves are visited (``leaves``); everything else is here:
+    each leaf counts as one visited page, an examined leaf is charged
+    CPU per entry, ``protected`` entries — installed by concurrent
+    transactions under direct propagation (paper §3.1.2) — survive even
+    though they were selected, ``on_removed`` sees a leaf's victims
+    before the page changes, and the leaf is rewritten in place only if
+    it lost something (never with ``write`` off — the read-only probe).
+
+    Returns the ``(first_key, page_id)`` summaries of the surviving
+    leaves and the ids of the emptied ones for :func:`_finish_sweep`;
+    ``free_in_flight`` frees an emptied leaf before the next one is read
+    (its chain neighbours are still hot), which is what the base-node
+    reorganization does.
+    """
+    summaries: List[Entry] = []
+    empties: List[int] = []
+    for node in leaves:
+        result.pages_visited += 1
+        page_id = node.page_id
+        first_key = split = None
+        if node.keys:
+            first_key, split = node.keys[0], select(node)
+        if split is not None:
+            disk.charge_cpu_records(node.entry_count)
+            kept, removed = split
+            if protected and removed:
+                spared = [e for e in removed if e in protected]
+                if spared:
+                    removed = [e for e in removed if e not in protected]
+                    kept = sorted([*kept, *spared])
+            if removed:
+                if on_removed is not None:
+                    # WAL protocol: the redo record must be durable
+                    # before the page can be modified (and evicted).
+                    on_removed(removed)
+                result.deleted.extend(removed)
+                if write:
+                    tree.write_leaf_entries(page_id, kept)
+                    first_key = kept[0][0] if kept else None
+        if first_key is not None:
+            summaries.append((first_key, page_id))
+        else:
+            empties.append(page_id)
+            if free_in_flight:
+                tree.unlink_and_free_leaves([page_id])
+    return summaries, empties
+
+
 def _finish_sweep(
     tree: BLinkTree,
     summaries: List[Entry],
@@ -73,8 +160,77 @@ def _finish_sweep(
         tree.rebuild_upper_levels(summaries if summaries else None)
 
 
+class _MergeSelector:
+    """Sort/merge recognition: the key-sorted delete list is consumed
+    in step with the leaves, so a leaf whose last key lies below the
+    list's cursor is skipped unexamined.
+
+    Leaves are key-ordered along the chain but duplicate keys may span
+    leaves with locally ordered values, so the merge consumes every
+    delete pair with a key up to a leaf's last key and *carries*
+    unmatched pairs sharing exactly that boundary key into the next
+    leaf.
+    """
+
+    def __init__(self, sorted_pairs: Sequence[Entry], match_rid: bool) -> None:
+        self.pairs = sorted_pairs
+        self.match_rid = match_rid
+        self.i = 0
+        self.carry: List[Entry] = []
+
+    def exhausted(self) -> bool:
+        """No leaf further right can match: list and carry are spent."""
+        return self.i >= len(self.pairs) and not self.carry
+
+    def __call__(
+        self, node: Node
+    ) -> Optional[Tuple[Sequence[Entry], List[Entry]]]:
+        pairs, i, n = self.pairs, self.i, len(self.pairs)
+        last_key = node.keys[-1]
+        if not (self.carry or (i < n and pairs[i][0] <= last_key)):
+            return None
+        candidates = self.carry
+        while i < n and pairs[i][0] <= last_key:
+            candidates.append(pairs[i])
+            i += 1
+        self.i = i
+        kept: List[Entry] = []
+        removed: List[Entry] = []
+        if self.match_rid:
+            cand_set = set(candidates)
+            for entry in node.entries:
+                if entry in cand_set:
+                    cand_set.discard(entry)
+                    removed.append(entry)
+                else:
+                    kept.append(entry)
+            self.carry = [p for p in cand_set if p[0] == last_key]
+        else:
+            cand_keys = {key for key, _ in candidates}
+            for entry in node.entries:
+                if entry[0] in cand_keys:
+                    removed.append(entry)
+                else:
+                    kept.append(entry)
+            self.carry = [p for p in candidates if p[0] == last_key]
+        return kept, removed
+
+
+def _rid_selector(rid_set: BoundedHashSet) -> Selector:
+    """Hash recognition: an entry is a victim iff its RID probes."""
+
+    def select(node: Node) -> Tuple[Sequence[Entry], List[Entry]]:
+        entries = node.entries
+        removed = [e for e in entries if e[1] in rid_set]
+        if not removed:
+            return entries, removed
+        return [e for e in entries if e[1] not in rid_set], removed
+
+    return select
+
+
 # ----------------------------------------------------------------------
-# index-side primitives
+# index-side primitives: a selector and a leaf source each
 # ----------------------------------------------------------------------
 def bd_index_sort_merge(
     tree: BLinkTree,
@@ -83,6 +239,7 @@ def bd_index_sort_merge(
     match_rid: bool = True,
     compact: bool = False,
     on_removed: Optional[Callable[[List[Entry]], None]] = None,
+    undeletable: Optional[Set[Entry]] = None,
 ) -> BdResult:
     """Delete ``sorted_pairs`` from ``tree`` with one leaf-level sweep.
 
@@ -101,82 +258,17 @@ def bd_index_sort_merge(
     result = BdResult(structure=tree.name)
     if not sorted_pairs:
         return result
-    i = 0
-    n = len(sorted_pairs)
-    carry: List[Entry] = []
-    summaries: List[Entry] = []
-    empties: List[int] = []
-    page_id = tree.first_leaf_id
-    while page_id != NO_NODE:
-        node = tree.read_leaf(page_id)
-        result.pages_visited += 1
-        next_id = node.right_id
-        entries = node.entries
-        kept = entries
-        if entries and (
-            carry or (i < n and sorted_pairs[i][0] <= entries[-1][0])
-        ):
-            kept, removed, i, carry = _merge_out(
-                entries, sorted_pairs, i, n, match_rid, carry
-            )
-            disk.charge_cpu_records(len(entries))
-            if removed:
-                if on_removed is not None:
-                    # WAL protocol: the redo record must be durable
-                    # before the page can be modified (and evicted).
-                    on_removed(removed)
-                result.deleted.extend(removed)
-                tree.write_leaf_entries(page_id, kept)
-        if kept:
-            summaries.append((kept[0][0], page_id))
-        else:
-            empties.append(page_id)
-        page_id = next_id
+    summaries, empties = _sweep(
+        tree,
+        tree.leaves(),
+        _MergeSelector(sorted_pairs, match_rid),
+        disk,
+        result,
+        undeletable,
+        on_removed,
+    )
     _finish_sweep(tree, summaries, empties, result, compact)
     return result
-
-
-def _merge_out(
-    entries: Sequence[Entry],
-    sorted_pairs: Sequence[Entry],
-    i: int,
-    n: int,
-    match_rid: bool,
-    carry: List[Entry],
-) -> Tuple[List[Entry], List[Entry], int, List[Entry]]:
-    """Merge one leaf against the (key-sorted) delete list.
-
-    Leaves are key-ordered along the chain but duplicate keys may span
-    leaves with locally ordered values, so the merge consumes every
-    delete pair with a key up to this leaf's last key and *carries*
-    unmatched pairs sharing exactly that boundary key into the next
-    leaf.  Returns ``(kept, removed, new_cursor, new_carry)``.
-    """
-    last_key = entries[-1][0]
-    candidates: List[Entry] = list(carry)
-    while i < n and sorted_pairs[i][0] <= last_key:
-        candidates.append(sorted_pairs[i])
-        i += 1
-    kept: List[Entry] = []
-    removed: List[Entry] = []
-    if match_rid:
-        cand_set = set(candidates)
-        for entry in entries:
-            if entry in cand_set:
-                cand_set.discard(entry)
-                removed.append(entry)
-            else:
-                kept.append(entry)
-        new_carry = [p for p in cand_set if p[0] == last_key]
-    else:
-        cand_keys = {key for key, _ in candidates}
-        for entry in entries:
-            if entry[0] in cand_keys:
-                removed.append(entry)
-            else:
-                kept.append(entry)
-        new_carry = [p for p in candidates if p[0] == last_key]
-    return kept, removed, i, new_carry
 
 
 def bd_index_hash_probe(
@@ -198,30 +290,29 @@ def bd_index_hash_probe(
     entry may re-use a RID from the delete set, and must survive the
     sweep even though its RID probes positive.
     """
-    protected = undeletable or set()
     result = BdResult(structure=tree.name)
-    summaries: List[Entry] = []
-    empties: List[int] = []
-    page_id = tree.first_leaf_id
-    while page_id != NO_NODE:
-        node = tree.read_leaf(page_id)
-        result.pages_visited += 1
-        next_id = node.right_id
-        entries = node.entries
-        disk.charge_cpu_records(len(entries))
-        kept = [e for e in entries if e[1] not in rid_set or e in protected]
-        if len(kept) != len(entries):
-            result.deleted.extend(
-                e for e in entries if e[1] in rid_set and e not in protected
-            )
-            tree.write_leaf_entries(page_id, kept)
-        if kept:
-            summaries.append((kept[0][0], page_id))
-        else:
-            empties.append(page_id)
-        page_id = next_id
+    summaries, empties = _sweep(
+        tree, tree.leaves(), _rid_selector(rid_set), disk, result, undeletable
+    )
     _finish_sweep(tree, summaries, empties, result, compact)
     return result
+
+
+def _key_range_leaves(
+    tree: BLinkTree, lo: int, hi: int, result: BdResult
+) -> Iterator[Node]:
+    """The contiguous leaf range that can hold keys in ``[lo, hi]``.
+
+    Pages the walk reads without handing them on are counted here:
+    the inner pages of the locating descent, and the first leaf that
+    starts beyond ``hi`` (reading it is how the range is known to end).
+    """
+    result.pages_visited += tree.height - 1
+    for node in tree.leaves(start_key=lo):
+        if node.keys and node.first_key() > hi:
+            result.pages_visited += 1
+            return
+        yield node
 
 
 def bd_index_partitioned(
@@ -230,6 +321,7 @@ def bd_index_partitioned(
     memory_bytes: int,
     disk: SimulatedDisk,
     compact: bool = False,
+    undeletable: Optional[Set[Entry]] = None,
 ) -> BdResult:
     """Range-partitioned hash ``bd`` (Figure 5).
 
@@ -250,9 +342,6 @@ def bd_index_partitioned(
     )
     result = BdResult(structure=tree.name)
     result.partitions = len(partitions)
-    summaries: List[Entry] = []
-    empties: List[int] = []
-    seen_first: Optional[int] = None
     for partition in partitions:
         rid_set = BoundedHashSet(memory_bytes)
         lo, hi = MAX_KEY, MIN_KEY
@@ -260,36 +349,37 @@ def bd_index_partitioned(
             rid_set.add(rid)
             lo = min(lo, key)
             hi = max(hi, key)
-        start = tree.find_leaf(lo)
-        result.pages_visited += tree.height - 1  # locating descent
-        page_id = start.page_id
-        while page_id != NO_NODE:
-            node = tree.read_leaf(page_id)
-            result.pages_visited += 1
-            next_id = node.right_id
-            if node.keys and node.first_key() > hi:
-                break
-            entries = node.entries
-            disk.charge_cpu_records(len(entries))
-            kept = [e for e in entries if e[1] not in rid_set]
-            if len(kept) != len(entries):
-                result.deleted.extend(e for e in entries if e[1] in rid_set)
-                tree.write_leaf_entries(page_id, kept)
-            page_id = next_id
+        _sweep(
+            tree,
+            _key_range_leaves(tree, lo, hi, result),
+            _rid_selector(rid_set),
+            disk,
+            result,
+            undeletable,
+        )
         partition.free()
     # A final chain walk classifies leaves; these pages are hot in the
     # buffer pool, so this costs no extra physical I/O in the common case.
-    page_id = tree.first_leaf_id
-    while page_id != NO_NODE:
-        node = tree.read_leaf(page_id)
-        next_id = node.right_id
+    summaries: List[Entry] = []
+    empties: List[int] = []
+    for node in tree.leaves():
         if node.keys:
-            summaries.append((node.first_key(), page_id))
+            summaries.append((node.first_key(), node.page_id))
         else:
-            empties.append(page_id)
-        page_id = next_id
+            empties.append(node.page_id)
     _finish_sweep(tree, summaries, empties, result, compact)
     return result
+
+
+def _until_exhausted(
+    leaves: Iterator[Node], merge: _MergeSelector
+) -> Iterator[Node]:
+    """``leaves`` up to the one that exhausts the delete list — no leaf
+    is read once the list and the boundary-key carry are spent."""
+    for node in leaves:
+        yield node
+        if merge.exhausted():
+            return
 
 
 def collect_index_matches(
@@ -309,30 +399,17 @@ def collect_index_matches(
     result = BdResult(structure=f"{tree.name} (probe)")
     if not sorted_keys:
         return result
-    keys = sorted(set(sorted_keys))
-    i, n = 0, len(keys)
-    page_id = tree.first_leaf_id
-    while page_id != NO_NODE and i < n:
-        node = tree.read_leaf(page_id)
-        result.pages_visited += 1
-        next_id = node.right_id
-        if node.keys and keys[i] <= node.keys[-1]:
-            last_key = node.keys[-1]
-            disk.charge_cpu_records(node.entry_count)
-            wanted = set()
-            j = i
-            while j < n and keys[j] <= last_key:
-                wanted.add(keys[j])
-                j += 1
-            result.deleted.extend(
-                e for e in node.entries if e[0] in wanted
-            )
-            # Keys equal to the leaf's last key may continue rightward.
-            i = j
-            while i > 0 and keys[i - 1] == last_key:
-                i -= 1
-                break
-        page_id = next_id
+    merge = _MergeSelector(
+        [(key, 0) for key in sorted(set(sorted_keys))], match_rid=False
+    )
+    _sweep(
+        tree,
+        _until_exhausted(tree.leaves(), merge),
+        merge,
+        disk,
+        result,
+        write=False,
+    )
     return result
 
 

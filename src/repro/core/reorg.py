@@ -18,12 +18,16 @@ paper are implemented:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.btree.node import NO_NODE, Node
 from repro.btree.tree import DEFAULT_FILL_FACTOR, BLinkTree
-from repro.core.bulk_ops import BdResult, _merge_out
+from repro.core.bulk_ops import (
+    BdResult,
+    _MergeSelector,
+    _sweep,
+    bd_index_sort_merge,
+)
 from repro.errors import IndexError_
 from repro.storage.disk import SimulatedDisk
 
@@ -43,12 +47,13 @@ def compact_leaf_level(
     """
     page_ids: List[int] = []
     entries: List[Entry] = []
-    page_id = tree.first_leaf_id
-    while page_id != NO_NODE:
-        node = tree.read_leaf(page_id)
-        page_ids.append(page_id)
-        entries.extend(node.entries)
-        page_id = node.right_id
+    for leaf in tree.leaves():
+        page_ids.append(leaf.page_id)
+        entries.extend(leaf.entries)
+    if not page_ids:
+        # The sweep emptied and freed every leaf: nothing to repack.
+        tree.rebuild_upper_levels()
+        return 0
     per_leaf = max(2, int(tree.leaf_capacity * fill_factor))
     needed = max(1, -(-len(entries) // per_leaf))  # ceil, at least one leaf
     keep = page_ids[:needed]
@@ -77,6 +82,8 @@ def sweep_with_base_node_reorg(
     sorted_pairs: Sequence[Entry],
     disk: SimulatedDisk,
     match_rid: bool = True,
+    on_removed: Optional[Callable[[List[Entry]], None]] = None,
+    undeletable: Optional[Set[Entry]] = None,
 ) -> BdResult:
     """Sort/merge bulk delete with on-the-fly inner-node maintenance.
 
@@ -87,50 +94,37 @@ def sweep_with_base_node_reorg(
     adaptation of [26] sketched in Figure 6 of the paper.  Levels above
     the base nodes are rebuilt once at the end (they are tiny).
     """
-    result = BdResult(structure=tree.name)
     if tree.height < 2:
         # No inner level: fall back to the plain sweep.
-        from repro.core.bulk_ops import bd_index_sort_merge
-
-        return bd_index_sort_merge(tree, sorted_pairs, disk, match_rid)
+        return bd_index_sort_merge(
+            tree, sorted_pairs, disk, match_rid,
+            on_removed=on_removed, undeletable=undeletable,
+        )
+    result = BdResult(structure=tree.name)
     if not sorted_pairs:
         return result
-    base_id = _leftmost_at_level(tree, level=1)
-    i, n = 0, len(sorted_pairs)
-    carry: List[Entry] = []
+    merge = _MergeSelector(sorted_pairs, match_rid)
     base_summaries: List[Entry] = []
-    while base_id != NO_NODE:
-        base = tree._read(base_id)
-        next_base = base.right_id
-        new_children: List[Entry] = []
-        for leaf_id in base.values:
-            entries = tree.read_leaf(leaf_id).entries
-            result.pages_visited += 1
-            kept = entries
-            if entries and (
-                carry or (i < n and sorted_pairs[i][0] <= entries[-1][0])
-            ):
-                kept, removed, i, carry = _merge_out(
-                    entries, sorted_pairs, i, n, match_rid, carry
-                )
-                disk.charge_cpu_records(len(entries))
-                if removed:
-                    result.deleted.extend(removed)
-                    tree.write_leaf_entries(leaf_id, kept)
-            if kept:
-                new_children.append((kept[0][0], leaf_id))
-            else:
-                tree.unlink_and_free_leaves([leaf_id])
-                result.pages_freed += 1
+    for base in tree._chain(_leftmost_at_level(tree, level=1)):
+        new_children, freed = _sweep(
+            tree,
+            map(tree.read_leaf, base.values),
+            merge,
+            disk,
+            result,
+            undeletable,
+            on_removed,
+            free_in_flight=True,
+        )
+        result.pages_freed += len(freed)
         # Update the base node in place before moving right.
         if new_children:
             base.entries = new_children
             tree._write(base)
-            base_summaries.append((new_children[0][0], base_id))
+            base_summaries.append((new_children[0][0], base.page_id))
         else:
             tree._unlink_from_chain(base)
-            tree._free_node(base_id)
-        base_id = next_base
+            tree._free_node(base.page_id)
     _rebuild_above_level_one(tree, base_summaries)
     return result
 
@@ -150,43 +144,12 @@ def _rebuild_above_level_one(
     tree: BLinkTree, base_summaries: List[Entry]
 ) -> None:
     """Replace levels >= 2 with fresh nodes over the surviving bases."""
-    # Free the old levels above 1.
-    old: List[int] = []
-    node = tree._read(tree.root_id)
-    while node.level >= 2:
-        cursor: Optional[Node] = node
-        first_child: Optional[int] = None
-        while cursor is not None:
-            old.append(cursor.page_id)
-            if first_child is None and cursor.keys:
-                first_child = cursor.values[0]
-            cursor = (
-                tree._read(cursor.right_id)
-                if cursor.right_id != NO_NODE
-                else None
-            )
-        if node.level == 2 or first_child is None:
-            break
-        node = tree._read(first_child)
-    for page_id in old:
+    for page_id in tree._page_ids(lowest=2):
         tree._free_node(page_id)
     if not base_summaries:
-        # Every leaf vanished: reset to a single empty leaf.
-        if tree.first_leaf_id == NO_NODE:
-            leaf = tree._allocate_node(level=0)
-            tree.first_leaf_id = leaf.page_id
-        tree.root_id = tree.first_leaf_id
-        tree.height = 1
-        return
-    if len(base_summaries) == 1:
+        tree._reset_to_empty_leaf()
+    elif len(base_summaries) == 1:
         tree.root_id = base_summaries[0][1]
         tree.height = 2
-        return
-    per_inner = max(2, int(tree.inner_capacity * DEFAULT_FILL_FACTOR))
-    level = 2
-    current = base_summaries
-    while len(current) > 1:
-        current = tree._build_level(current, level=level, per_node=per_inner)
-        level += 1
-    tree.root_id = current[0][1]
-    tree.height = tree._read(tree.root_id).level + 1
+    else:
+        tree._build_upper_from(base_summaries, level=2)

@@ -10,7 +10,10 @@ into that sequence: an ordered list of :class:`Stage` objects over one
 shared :class:`Pipe`.  Each stage owns its span, its ``bd`` call and
 its result; the pipe carries what one ``bd`` hands the next (sorted
 keys, the RID list, the deleted rows) and the statement's one RID hash
-set.  This module is the only caller of the ``bd`` primitives.
+set.  A DELETE reaches the ``bd`` primitives only through this module
+(the bulk UPDATE applies the sort/merge one to its own old-key list),
+and whichever method a stage runs, the sweep kernel underneath gets
+the stage's ``redo`` hook and ``undeletable`` set.
 
 Every driver is a way of *walking* the list, not a copy of it:
 
@@ -192,7 +195,12 @@ class Stage:
         pipe = self.pipe
         if pipe.options.base_node_reorg:
             return sweep_with_base_node_reorg(
-                self._tree, pairs, pipe.db.disk, match_rid=match_rid
+                self._tree,
+                pairs,
+                pipe.db.disk,
+                match_rid=match_rid,
+                on_removed=self.redo,
+                undeletable=self.undeletable,
             )
         return bd_index_sort_merge(
             self._tree,
@@ -201,6 +209,7 @@ class Stage:
             match_rid=match_rid,
             compact=pipe.options.compact_leaves,
             on_removed=self.redo,
+            undeletable=self.undeletable,
         )
 
     def _hash_probe(self) -> BdResult:
@@ -210,6 +219,7 @@ class Stage:
             pipe.rid_set(),
             pipe.db.disk,
             compact=pipe.options.compact_leaves,
+            undeletable=self.undeletable,
         )
 
     def _partitioned(self, pairs: Sequence[Entry]) -> BdResult:
@@ -220,6 +230,7 @@ class Stage:
             pipe.db.memory_bytes,
             pipe.db.disk,
             compact=pipe.options.compact_leaves,
+            undeletable=self.undeletable,
         )
 
     # -- stage bodies --------------------------------------------------
@@ -289,11 +300,6 @@ class Stage:
             (index.key_for(values, pipe.table.schema), rid.pack())
             for rid, values in pipe.rows
         ]
-        if self.undeletable:
-            # Exact-match sort/merge cannot delete a protected entry by
-            # accident (its key differs), but a re-used RID *with the
-            # same key* must still survive: filter those pairs out.
-            pairs = [p for p in pairs if p not in self.undeletable]
         if method is BdMethod.PARTITIONED_HASH:
             return self._partitioned(pairs)
         if index.clustered:

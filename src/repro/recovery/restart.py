@@ -858,7 +858,7 @@ def _reconcile_entry_count(tree) -> None:
     is therefore in the leaves but never in checkpoint metadata, and no
     redo arithmetic can recover the difference — recount instead.
     """
-    tree._entry_count = sum(1 for _ in tree.items())
+    tree._entry_count = sum(leaf.entry_count for leaf in tree.leaves())
 
 
 def _rebuild_side_files_from_log(

@@ -406,7 +406,12 @@ def erase_traces(
         for ix in table.indexes.values():
             if not ix.is_btree:
                 continue
-            for page_id in ix.tree._collect_pages():  # type: ignore[union-attr]
+            page_ids = [
+                n.page_id
+                for nodes in ix.tree.levels()  # type: ignore[union-attr]
+                for n in nodes
+            ]
+            for page_id in page_ids:
                 with db.pool.pin(page_id) as pinned:
                     live_end = Node.live_end(pinned.data)
                     if any(pinned.data[live_end:]):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.btree.cursor import LeafCursor
 from repro.btree.maintenance import (
     merge_underfull_leaves,
     validate_tree,
@@ -86,22 +85,21 @@ def test_insert_after_bulk_load(tree):
 
 def test_leaf_cursor_covers_all_entries(tree):
     tree.bulk_load(entries(100))
-    cursor = LeafCursor(tree)
-    assert list(cursor.entries()) == entries(100)
-    assert cursor.pages_visited == tree.leaf_count()
+    leaves = list(tree.leaves())
+    assert [e for leaf in leaves for e in leaf.entries] == entries(100)
+    assert len(leaves) == tree.leaf_count()
 
 
 def test_leaf_cursor_from_key(tree):
     tree.bulk_load(entries(100))
-    cursor = LeafCursor(tree, start_key=50)
-    found = list(cursor.entries())
+    found = [e for leaf in tree.leaves(start_key=50) for e in leaf.entries]
     assert found[-1] == (99, 198)
     assert (50, 100) in found
 
 
 def test_iter_leaf_ids_in_chain_order(tree):
     tree.bulk_load(entries(100))
-    ids = list(tree.iter_leaf_ids())
+    ids = [leaf.page_id for leaf in tree.leaves()]
     assert len(ids) == tree.leaf_count()
     assert len(set(ids)) == len(ids)
     assert ids[0] == tree.first_leaf_id
@@ -118,7 +116,7 @@ def test_write_leaf_entries_updates_count(tree):
 def test_unlink_and_free_then_rebuild(tree):
     tree.bulk_load(entries(64))
     # Empty the second leaf by hand, then free it.
-    ids = list(tree.iter_leaf_ids())
+    ids = [leaf.page_id for leaf in tree.leaves()]
     victim = ids[1]
     removed = tree.read_leaf(victim).entries
     tree.write_leaf_entries(victim, [])
@@ -138,8 +136,7 @@ def test_unlink_nonempty_leaf_rejected(tree):
 def test_rebuild_with_summaries_matches_chain_walk(tree):
     tree.bulk_load(entries(64))
     summaries = [
-        (tree.read_leaf(pid).first_key(), pid)
-        for pid in tree.iter_leaf_ids()
+        (leaf.first_key(), leaf.page_id) for leaf in tree.leaves()
     ]
     tree.rebuild_upper_levels(summaries)
     validate_tree(tree)
@@ -174,5 +171,5 @@ def test_bulk_load_pages_contiguous(tree):
     """Bulk-loaded leaves must be physically contiguous so sweeps are
     sequential — the property the whole paper leans on."""
     tree.bulk_load(entries(100))
-    ids = list(tree.iter_leaf_ids())
+    ids = [leaf.page_id for leaf in tree.leaves()]
     assert ids == list(range(ids[0], ids[0] + len(ids)))

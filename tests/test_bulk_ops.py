@@ -250,3 +250,162 @@ def test_bd_primitives_have_one_caller():
         ("core/stages.py", "bd_heap_hash_probe"): 1,
         ("recovery/restart.py", "delete_many_sorted"): 1,
     }
+
+
+def test_chain_walks_and_leaf_writes_live_in_one_place():
+    """One chain walker, one sweep kernel: outside ``btree/tree.py`` no
+    ``while`` loop follows ``.right_id`` or reads ``first_leaf_id`` (in
+    the tree only the walker and the point operations' move-right do),
+    and exactly one function under ``core/`` rewrites a leaf."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    walkers, leaf_writers = set(), set()
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.While) and any(
+                    isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Load)
+                    and n.attr in ("right_id", "first_leaf_id")
+                    for n in ast.walk(node)
+                ):
+                    walkers.add((rel, func.name))
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", "") == "write_leaf_entries"
+                ):
+                    leaf_writers.add((rel, func.name))
+    assert walkers == {
+        ("btree/tree.py", "_chain"),
+        # Point operations: B-link move-right from a descended leaf.
+        ("btree/tree.py", "search"),
+        ("btree/tree.py", "range_scan"),
+        ("btree/tree.py", "delete"),
+        ("btree/tree.py", "_true_path"),
+    }
+    assert leaf_writers == {("core/bulk_ops.py", "_sweep")}
+
+
+def test_partitioned_counts_each_page_it_reads_once(tree_and_disk):
+    """One accounting rule for a sweep that starts at a key: the inner
+    pages of the locating descent plus each leaf once — the distinct
+    pages read, though the descent's leaf is read again by the walk."""
+    tree, disk = tree_and_disk
+    assert tree.height >= 3
+    first_leaf = tree.first_leaf_id
+    reads = []
+    read = tree._read
+    tree._read = lambda page_id: reads.append(page_id) or read(page_id)
+    pairs = [(k, 1000 + k) for k in range(100, 120)]
+    result = bd_index_partitioned(tree, pairs, 1 << 20, disk)
+    assert result.partitions == 1 and len(result.deleted) == 20
+    # The partition's sweep ends where the final classification pass
+    # starts over from the first leaf.
+    swept = reads[: reads.index(first_leaf)]
+    assert len(swept) == len(set(swept)) + 1
+    assert result.pages_visited == len(set(swept))
+
+
+# ----------------------------------------------------------------------
+# Stage level: protected entries and the WAL rule, for every method
+# ----------------------------------------------------------------------
+def _post_table_stage(variant):
+    """A vertical DELETE run up to its post-table stage on ``I_R_B``,
+    that stage forced to ``variant``."""
+    from repro.catalog.database import Database
+    from repro.core.executor import BulkDeleteOptions
+    from repro.core.planner import choose_plan
+    from repro.core.plans import BdMethod
+    from repro.core.stages import POST_TABLE, Pipe, vertical_stages
+
+    db = Database(page_size=512, memory_bytes=64 * 1024)
+    values = populate(db)
+    keys = values["A"][:60]
+    plan = choose_plan(
+        db, "R", "A", len(keys), prefer_method=BdMethod.SORT_MERGE,
+        force_vertical=True,
+    )
+    (step,) = plan.steps_after_table()
+    step.method = {
+        "hash": BdMethod.HASH,
+        "hash-overflow": BdMethod.HASH,
+        "partitioned": BdMethod.PARTITIONED_HASH,
+    }.get(variant, BdMethod.SORT_MERGE)
+    options = BulkDeleteOptions(base_node_reorg=variant == "reorg")
+    pipe = Pipe(db, db.table("R"), plan, keys, options)
+    *before, post = vertical_stages(pipe)
+    assert post.role == POST_TABLE and post.target == "I_R_B"
+    for stage in before:
+        stage.apply()
+    if variant == "hash-overflow":
+        db.memory_bytes = 256  # the RID set no longer fits: partition
+        pipe._rid_set = None
+    victims = sorted(
+        (b, rid.pack()) for rid, (_, b, _) in pipe.rows
+    )
+    return db, post, victims
+
+
+STAGE_VARIANTS = ["sort-merge", "hash", "partitioned", "hash-overflow", "reorg"]
+
+
+@pytest.mark.parametrize("variant", STAGE_VARIANTS)
+def test_stage_spares_protected_entries(variant):
+    """§3.1.2: a concurrently installed entry re-using a victim RID —
+    under the victim's key or a fresh one — survives every method when
+    it is marked undeletable, and an unmarked twin does not."""
+    db, post, victims = _post_table_stage(variant)
+    tree = db.table("R").index("I_R_B").tree
+    mid = len(victims) // 2
+    same_key, (key2, rid2), (key3, rid3) = victims[mid - 1 : mid + 2]
+    fresh_key, twin = (key2 + 1, rid2), (key3 + 1, rid3)
+    assert not tree.contains(key2 + 1) and not tree.contains(key3 + 1)
+    tree.insert(*fresh_key)
+    tree.insert(*twin)
+    post.undeletable = {same_key, fresh_key}
+    result = post.apply()
+    assert tree.contains(*same_key) and tree.contains(*fresh_key)
+    expected = [v for v in victims if v != same_key]
+    if variant in ("hash", "partitioned", "hash-overflow"):
+        # The RID probe takes the unmarked twin with its victim.
+        assert not tree.contains(*twin)
+        expected.append(twin)
+    if variant == "hash-overflow":
+        assert result.partitions > 1
+    assert sorted(result.deleted) == sorted(expected)
+    assert tree.entry_count == 500 + 2 - len(expected)
+    validate_tree(tree)
+
+
+@pytest.mark.parametrize("variant", ["sort-merge", "reorg"])
+def test_stage_redo_hook_sees_each_leaf_before_it_changes(variant):
+    """The WAL rule: the hook gets a leaf's victims while the page
+    still holds them — for the base-node reorg sweep exactly as for the
+    plain one, batch for batch."""
+    db, post, victims = _post_table_stage(variant)
+    tree = db.table("R").index("I_R_B").tree
+    batches = []
+
+    def redo(removed):
+        for key, rid in removed:
+            assert tree.contains(key, rid)
+        batches.append(list(removed))
+
+    post.redo = redo
+    result = post.apply()
+    assert [e for batch in batches for e in batch] == result.deleted
+    assert sorted(result.deleted) == victims
+    for key, rid in victims:
+        assert not tree.contains(key, rid)
+    _db, plain, _ = _post_table_stage("sort-merge")
+    expected = []
+    plain.redo = lambda removed: expected.append(list(removed))
+    plain.apply()
+    assert batches == expected

@@ -9,7 +9,6 @@ from repro import (
     bulk_delete,
     traditional_delete,
 )
-from repro.btree.cursor import LeafCursor
 from repro.btree.maintenance import validate_tree
 from repro.btree.tree import BLinkTree
 from repro.errors import CatalogError, IndexError_, StorageError
@@ -92,14 +91,15 @@ def make_tree(entries):
 
 def test_cursor_start_key_beyond_all_keys():
     tree = make_tree([(i, i) for i in range(20)])
-    cursor = LeafCursor(tree, start_key=10**9)
-    remaining = list(cursor.entries())
+    remaining = [
+        e for leaf in tree.leaves(start_key=10**9) for e in leaf.entries
+    ]
     assert remaining == [] or remaining[0][0] >= 16  # last leaf only
 
 
 def test_cursor_on_empty_tree():
     tree = make_tree([])
-    assert list(LeafCursor(tree).entries()) == []
+    assert [e for leaf in tree.leaves() for e in leaf.entries] == []
 
 
 def test_range_scan_empty_interval():

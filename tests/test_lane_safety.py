@@ -197,12 +197,14 @@ def test_real_repo_lane_regions_clean():
     assert findings == [], "\n".join(f.render() for f in findings)
     # And not vacuously: all three dispatch sites resolved to entries
     # (the executor's stages dispatch ``Stage.apply`` directly), and
-    # the walk from each reaches the bd primitives.
+    # the walk from each reaches the bd primitives and, through them,
+    # the one sweep kernel that writes leaves.
     assert len(graph.lane_dispatches) == 3
     assert sorted(d.kind for d in graph.lane_dispatches) == [
         "factory", "factory", "function",
     ]
     sweep = "repro.core.bulk_ops.bd_index_sort_merge"
+    kernel = "repro.core.bulk_ops._sweep"
     for dispatch in graph.lane_dispatches:
         reached, queue = set(), lane_entries(graph, dispatch)
         while queue:
@@ -210,4 +212,4 @@ def test_real_repo_lane_regions_clean():
             if qual not in reached:
                 reached.add(qual)
                 queue.extend(graph.callees(qual))
-        assert sweep in reached, dispatch
+        assert sweep in reached and kernel in reached, dispatch

@@ -37,7 +37,7 @@ def test_compact_leaves_are_dense():
         tree, [(k, 5000 + k) for k in range(0, 200, 2)], disk
     )
     compact_leaf_level(tree, fill_factor=1.0)
-    leaf_ids = list(tree.iter_leaf_ids())
+    leaf_ids = [leaf.page_id for leaf in tree.leaves()]
     for pid in leaf_ids[:-1]:
         assert tree.read_leaf(pid).entry_count == tree.leaf_capacity
     validate_tree(tree)
