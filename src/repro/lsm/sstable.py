@@ -17,11 +17,12 @@ crash-sweep event) before its metadata can reach a manifest commit.
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import StorageError
+from repro.errors import PageFullError, StorageError
 from repro.lsm.memtable import RangeTombstone, Resolution
 from repro.storage.buffer import BufferPool
 from repro.storage.page_formats import SlottedPage
@@ -40,14 +41,16 @@ def encode_entry(key: int, seq: int, payload: Optional[bytes]) -> bytes:
     return ENTRY.pack(kind, seq, key) + (payload or b"")
 
 
-def decode_entry(record: bytes) -> Item:
-    kind, seq, key = ENTRY.unpack_from(record, 0)
-    payload = record[ENTRY.size:]
+def decode_entry(
+    data: Union[bytes, bytearray], offset: int, length: int
+) -> Item:
+    """Decode the ``length``-byte entry at ``offset`` of a page image."""
+    kind, seq, key = ENTRY.unpack_from(data, offset)
     if kind == KIND_TOMBSTONE:
         return key, seq, None
     if kind != KIND_PUT:
         raise StorageError(f"corrupt run entry kind {kind}")
-    return key, seq, bytes(payload)
+    return key, seq, bytes(data[offset + ENTRY.size : offset + length])
 
 
 @dataclass(frozen=True)
@@ -138,16 +141,21 @@ def build_run(
             )
         last_key = key
         record = encode_entry(key, seq, payload)
-        if page is not None and not page.can_fit(len(record)):
-            close_page()
-            page = None
+        if page is not None:
+            # ``insert`` itself reports a full page: one header decode
+            # per entry instead of a ``can_fit`` probe before each.
+            try:
+                page.insert(record)
+            except PageFullError:
+                close_page()
+                page = None
         if page is None:
             pinned = pool.pin_new(file_id)
             current_id = pinned.page_id
             page = SlottedPage.format_empty(pinned.data)
             page_ids.append(current_id)
             fences.append(key)
-        page.insert(record)
+            page.insert(record)
         seqs.append(seq)
         if payload is None:
             tombstones += 1
@@ -189,6 +197,14 @@ def build_run(
     )
 
 
+def _entry_slots(data: bytearray) -> Tuple[array[int], array[int]]:
+    """Offsets and lengths of a run page's entries, in key order."""
+    offsets, lengths = SlottedPage(data).directory()
+    if 0 in lengths:
+        raise StorageError("run page holds a deleted slot; runs are immutable")
+    return offsets, lengths
+
+
 def run_get(
     pool: BufferPool, meta: RunMeta, key: int
 ) -> Tuple[Optional[Resolution], int]:
@@ -196,7 +212,9 @@ def run_get(
 
     The fence index narrows a point lookup to at most one page read;
     the run's range tombstones compete with the point entry by
-    sequence number, exactly like memtable resolution.
+    sequence number, exactly like memtable resolution.  The host
+    bisects the entry headers in the pinned frame, but the CPU charge
+    is the position at which a linear scan of the page would stop.
     """
     best: Optional[Resolution] = None
     for tomb in meta.ranges:
@@ -208,18 +226,23 @@ def run_get(
         page_id = meta.page_ids[slot]
         pages_read = 1
         with pool.pin(page_id) as pinned:
-            page = SlottedPage(pinned.data)
-            scanned = 0
-            for _, record in page.records():
-                scanned += 1
-                entry_key, seq, payload = decode_entry(record)
-                if entry_key == key:
-                    if best is None or seq > best[0]:
-                        best = (seq, payload)
-                    break
-                if entry_key > key:
-                    break
-            pool.disk.charge_cpu_records(scanned)
+            data = pinned.data
+            offsets, lengths = _entry_slots(data)
+            count = len(offsets)
+            lo, hi = 0, count
+            while lo < hi:  # first entry with a key >= ``key``
+                mid = (lo + hi) // 2
+                if ENTRY.unpack_from(data, offsets[mid])[2] < key:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            if lo < count:
+                entry_key, seq, payload = decode_entry(
+                    data, offsets[lo], lengths[lo]
+                )
+                if entry_key == key and (best is None or seq > best[0]):
+                    best = (seq, payload)
+            pool.disk.charge_cpu_records(min(lo + 1, count))
     return best, pages_read
 
 
@@ -227,8 +250,8 @@ def run_iter(pool: BufferPool, meta: RunMeta) -> Iterator[Item]:
     """Yield every point entry of a run in key order (sequential reads)."""
     for page_id in meta.page_ids:
         with pool.pin(page_id) as pinned:
-            page = SlottedPage(pinned.data)
-            records = [record for _, record in page.records()]
-        pool.disk.charge_cpu_records(len(records))
-        for record in records:
-            yield decode_entry(record)
+            offsets, lengths = _entry_slots(pinned.data)
+            view = bytes(pinned.data)
+        pool.disk.charge_cpu_records(len(offsets))
+        for offset, length in zip(offsets, lengths):
+            yield decode_entry(view, offset, length)

@@ -567,14 +567,15 @@ class LsmTree:
             )
             pages_written = sum(m.data_pages for m in outputs)
 
+            consumed = {m.run_id for m in inputs}
             if level == 0 and not in_place:
                 self.levels[0] = []
             else:
                 self.levels[level] = [
-                    m for m in self.levels[level] if m not in inputs_here
+                    m for m in self.levels[level] if m.run_id not in consumed
                 ]
             survivors = [
-                m for m in self.levels[target] if m not in overlapping
+                m for m in self.levels[target] if m.run_id not in consumed
             ]
             survivors.extend(outputs)
             if target >= 1:

@@ -151,19 +151,19 @@ class HeapFile:
         while i < n:
             page_id = rids[i].page_id
             self._check_rid(rids[i])
+            start = i
+            while i < n and rids[i].page_id == page_id:
+                i += 1
+            batch = rids[start:i]
+            slots = [rid.slot for rid in batch]
             with self.pool.pin(page_id) as pinned:
                 page = SlottedPage(pinned.data)
-                page_deletes: List[Tuple[RID, bytes]] = []
-                while i < n and rids[i].page_id == page_id:
-                    rid = rids[i]
-                    page_deletes.append((rid, page.read(rid.slot)))
-                    i += 1
+                page_deletes = list(zip(batch, page.read_many(slots)))
                 if on_page_deletes is not None:
                     # WAL protocol: redo record before the page changes.
                     on_page_deletes(page_deletes)
-                for rid, _ in page_deletes:
-                    page.delete(rid.slot)
-                    self._record_count -= 1
+                page.delete_many(slots)
+                self._record_count -= len(slots)
                 deleted.extend(page_deletes)
                 if compact_pages:
                     page.compact()
@@ -200,7 +200,7 @@ class HeapFile:
         """Yield every live record in physical (RID) order."""
         for page_id in self.page_ids:
             with self.pool.pin(page_id) as pinned:
-                rows = list(SlottedPage(pinned.data).records())
+                rows = SlottedPage(pinned.data).records()
             for slot, payload in rows:
                 yield RID(page_id, slot), payload
 
@@ -208,7 +208,7 @@ class HeapFile:
         """Yield ``(page_id, [(slot, payload), ...])`` page by page."""
         for page_id in self.page_ids:
             with self.pool.pin(page_id) as pinned:
-                rows = list(SlottedPage(pinned.data).records())
+                rows = SlottedPage(pinned.data).records()
             yield page_id, rows
 
     def reclaim_empty_pages(self) -> int:

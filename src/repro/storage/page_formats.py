@@ -21,8 +21,10 @@ Layout (little-endian)::
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
-from typing import Iterator, List, Optional, Tuple
+from array import array
+from typing import Iterable, List, Tuple
 
 from repro.errors import PageFullError, StorageError
 
@@ -31,6 +33,9 @@ _SLOT = struct.Struct("<HH")
 
 HEADER_SIZE = _HEADER.size
 SLOT_SIZE = _SLOT.size
+
+#: Pages are little-endian; ``array`` holds host-order integers.
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def page_checksum(data: bytes) -> int:
@@ -52,60 +57,88 @@ class SlottedPage:
     """A view over a ``bytearray`` implementing the slotted layout.
 
     The class never owns the buffer; it mutates the ``bytearray`` handed
-    to it (normally a pinned buffer-pool frame) in place.
+    to it (normally a pinned buffer-pool frame) in place, and it keeps
+    no decoded state between calls, so two views over one frame cannot
+    disagree.  Every verb unpacks the header once; a verb that needs the
+    whole slot directory decodes it into ``array('H')`` columns with one
+    C call instead of one ``struct`` call per slot.
     """
+
+    __slots__ = ("data", "page_size")
 
     def __init__(self, data: bytearray) -> None:
         self.data = data
         self.page_size = len(data)
 
-    # ------------------------------------------------------------------
-    # header accessors
-    # ------------------------------------------------------------------
     @classmethod
     def format_empty(cls, data: bytearray) -> "SlottedPage":
         """Initialise ``data`` as an empty slotted page."""
-        page = cls(data)
-        page._write_header(0, HEADER_SIZE, 0)
-        return page
+        _HEADER.pack_into(data, 0, 0, HEADER_SIZE, 0, 0)
+        return cls(data)
 
-    def _read_header(self) -> Tuple[int, int, int]:
+    # ------------------------------------------------------------------
+    # header and slot directory
+    # ------------------------------------------------------------------
+    def _header(self) -> Tuple[int, int, int, int]:
+        """``(slot_count, free_start, live, directory_start)``.
+
+        The one place the header is decoded, and checked: a directory
+        that cannot fit the page would put slot positions before the
+        start of the frame, where ``struct`` reads from the other end.
+        """
         slot_count, free_start, live, _ = _HEADER.unpack_from(self.data, 0)
-        return slot_count, free_start, live
-
-    def _write_header(self, slot_count: int, free_start: int, live: int) -> None:
-        _HEADER.pack_into(self.data, 0, slot_count, free_start, live, 0)
+        directory_start = self.page_size - SLOT_SIZE * slot_count
+        if directory_start < HEADER_SIZE:
+            raise StorageError(
+                f"corrupt page header: a directory of {slot_count} slots "
+                f"(free space at {free_start}, {live} live) does not fit "
+                f"a {self.page_size}-byte page"
+            )
+        return slot_count, free_start, live, directory_start
 
     @property
     def slot_count(self) -> int:
-        return self._read_header()[0]
+        return self._header()[0]
 
     @property
     def live_records(self) -> int:
-        return self._read_header()[2]
+        return self._header()[2]
 
-    # ------------------------------------------------------------------
-    # slot directory
-    # ------------------------------------------------------------------
-    def _slot_pos(self, slot: int) -> int:
-        return self.page_size - SLOT_SIZE * (slot + 1)
-
-    def _read_slot(self, slot: int) -> Tuple[int, int]:
-        slot_count = self.slot_count
+    def _live_slot(self, slot: int, slot_count: int) -> Tuple[int, int, int]:
+        """``(directory position, offset, length)`` of a live record."""
         if not 0 <= slot < slot_count:
             raise StorageError(f"slot {slot} out of range (page has {slot_count})")
-        return _SLOT.unpack_from(self.data, self._slot_pos(slot))
+        pos = self.page_size - SLOT_SIZE * (slot + 1)
+        offset, length = _SLOT.unpack_from(self.data, pos)
+        if length == 0:
+            raise StorageError(f"slot {slot} is empty (deleted record)")
+        return pos, offset, length
 
-    def _write_slot(self, slot: int, offset: int, length: int) -> None:
-        _SLOT.pack_into(self.data, self._slot_pos(slot), offset, length)
+    def _flat_directory(self, slot_count: int) -> array[int]:
+        """The directory as stored: ``offset, length`` pairs, last slot
+        first (entry ``i`` sits at ``page_size - 4 * (i + 1)``)."""
+        flat = array("H")
+        flat.frombytes(self.data[self.page_size - SLOT_SIZE * slot_count :])
+        if _BIG_ENDIAN:
+            flat.byteswap()
+        return flat
+
+    def directory(self) -> Tuple[array[int], array[int]]:
+        """Decode the whole slot directory in one call.
+
+        Returns ``(offsets, lengths)`` indexed by slot number (length 0
+        = dead slot): a snapshot for callers that decode records in
+        place under the pin, as the SSTable readers do.
+        """
+        flat = self._flat_directory(self._header()[0])
+        return flat[-2::-2], flat[-1::-2]
 
     # ------------------------------------------------------------------
     # record operations
     # ------------------------------------------------------------------
     def free_space(self) -> int:
         """Bytes available for one more record (including its slot)."""
-        slot_count, free_start, _ = self._read_header()
-        directory_start = self.page_size - SLOT_SIZE * slot_count
+        _, free_start, _, directory_start = self._header()
         return max(0, directory_start - free_start - SLOT_SIZE)
 
     def can_fit(self, record_size: int) -> bool:
@@ -119,61 +152,68 @@ class SlottedPage:
         compaction would make room (classic free-space management, cf.
         [14] in the paper).
         """
-        slot_count, _, _ = self._read_header()
-        live_bytes = sum(len(payload) for _, payload in self.records())
-        has_dead_slot = any(
-            self._read_slot(slot)[1] == 0 for slot in range(slot_count)
-        )
-        directory_start = self.page_size - SLOT_SIZE * slot_count
-        free = directory_start - HEADER_SIZE - live_bytes
-        if not has_dead_slot:
+        slot_count, _, _, directory_start = self._header()
+        lengths = self._flat_directory(slot_count)[1::2]
+        free = directory_start - HEADER_SIZE - sum(lengths)
+        if 0 not in lengths:
             free -= SLOT_SIZE  # a new insert would need a new slot
         return max(0, free)
 
     def insert(self, record: bytes) -> int:
         """Insert ``record`` and return its slot number.
 
-        Reuses a tombstoned slot when one exists (keeping its number),
-        otherwise appends a new directory entry.
+        Reuses the lowest tombstoned slot when one exists (keeping its
+        number), otherwise appends a new directory entry.
         """
-        if not record:
+        size = len(record)
+        if not size:
             raise StorageError("cannot insert an empty record")
-        slot_count, free_start, live = self._read_header()
-        directory_start = self.page_size - SLOT_SIZE * slot_count
-        # Find a dead slot to reuse; a reused slot costs no directory growth.
-        reuse: Optional[int] = None
-        for slot in range(slot_count):
-            _, length = self._read_slot(slot)
-            if length == 0:
-                reuse = slot
-                break
-        needed = len(record) + (0 if reuse is not None else SLOT_SIZE)
+        slot_count, free_start, live, directory_start = self._header()
+        slot = slot_count
+        # Only a page with fewer live records than slots has a dead slot
+        # to find; an append-only page never decodes its directory.
+        if live != slot_count:
+            try:
+                slot = self._flat_directory(slot_count)[-1::-2].index(0)
+            except ValueError:
+                pass  # the header miscounts; append, as a full scan would
+        # A reused slot costs no directory growth.
+        needed = size if slot < slot_count else size + SLOT_SIZE
         if directory_start - free_start < needed:
             raise PageFullError(
-                f"record of {len(record)} bytes does not fit "
+                f"record of {size} bytes does not fit "
                 f"({directory_start - free_start} bytes free)"
             )
-        offset = free_start
-        self.data[offset : offset + len(record)] = record
-        if reuse is not None:
-            slot = reuse
-        else:
-            slot = slot_count
+        data = self.data
+        data[free_start : free_start + size] = record
+        if slot == slot_count:
             slot_count += 1
-        self._write_header(slot_count, offset + len(record), live + 1)
-        self._write_slot(slot, offset, len(record))
+        _HEADER.pack_into(data, 0, slot_count, free_start + size, live + 1, 0)
+        _SLOT.pack_into(
+            data, self.page_size - SLOT_SIZE * (slot + 1), free_start, size
+        )
         return slot
 
     def read(self, slot: int) -> bytes:
-        offset, length = self._read_slot(slot)
-        if length == 0:
-            raise StorageError(f"slot {slot} is empty (deleted record)")
+        _, offset, length = self._live_slot(slot, self._header()[0])
         return bytes(self.data[offset : offset + length])
 
+    def read_many(self, slots: Iterable[int]) -> List[bytes]:
+        """:meth:`read` for a batch of slots, in the order given, under
+        one header decode."""
+        data = self.data
+        slot_count = self._header()[0]
+        out: List[bytes] = []
+        for slot in slots:
+            _, offset, length = self._live_slot(slot, slot_count)
+            out.append(bytes(data[offset : offset + length]))
+        return out
+
     def is_live(self, slot: int) -> bool:
-        if not 0 <= slot < self.slot_count:
+        if not 0 <= slot < self._header()[0]:
             return False
-        return self._read_slot(slot)[1] != 0
+        pos = self.page_size - SLOT_SIZE * (slot + 1)
+        return _SLOT.unpack_from(self.data, pos)[1] != 0
 
     def replace(self, slot: int, record: bytes) -> bytes:
         """Overwrite a record in place (same length only).
@@ -182,9 +222,7 @@ class SlottedPage:
         the bulk UPDATE executor uses this so RIDs never change and
         indexes on unmodified columns stay untouched.
         """
-        offset, length = self._read_slot(slot)
-        if length == 0:
-            raise StorageError(f"slot {slot} is empty (deleted record)")
+        _, offset, length = self._live_slot(slot, self._header()[0])
         if len(record) != length:
             raise StorageError(
                 f"in-place replace needs {length} bytes, got {len(record)}"
@@ -195,18 +233,40 @@ class SlottedPage:
 
     def delete(self, slot: int) -> bytes:
         """Tombstone ``slot`` and return the old payload."""
-        record = self.read(slot)
-        slot_count, free_start, live = self._read_header()
-        self._write_slot(slot, 0, 0)
-        self._write_header(slot_count, free_start, live - 1)
+        data = self.data
+        slot_count, free_start, live, _ = self._header()
+        pos, offset, length = self._live_slot(slot, slot_count)
+        record = bytes(data[offset : offset + length])
+        _SLOT.pack_into(data, pos, 0, 0)
+        _HEADER.pack_into(data, 0, slot_count, free_start, live - 1, 0)
         return record
 
-    def records(self) -> Iterator[Tuple[int, bytes]]:
-        """Yield ``(slot, payload)`` for every live record."""
-        for slot in range(self.slot_count):
-            offset, length = self._read_slot(slot)
-            if length:
-                yield slot, bytes(self.data[offset : offset + length])
+    def delete_many(self, slots: Iterable[int]) -> None:
+        """:meth:`delete` for a batch of slots under one header decode
+        and one header write (also when a bad slot stops it part-way)."""
+        data = self.data
+        slot_count, free_start, live, _ = self._header()
+        try:
+            for slot in slots:
+                pos, _, _ = self._live_slot(slot, slot_count)
+                _SLOT.pack_into(data, pos, 0, 0)
+                live -= 1
+        finally:
+            _HEADER.pack_into(data, 0, slot_count, free_start, live, 0)
+
+    def records(self) -> List[Tuple[int, bytes]]:
+        """``(slot, payload)`` of every live record, in slot order.
+
+        A snapshot: directory and payloads are decoded when this is
+        called, so the result does not follow later changes to the page.
+        """
+        offsets, lengths = self.directory()
+        view = bytes(self.data)
+        return [
+            (slot, view[offset : offset + length])
+            for slot, (offset, length) in enumerate(zip(offsets, lengths))
+            if length
+        ]
 
     def compact(self) -> None:
         """Reclaim payload space of deleted records.
@@ -214,23 +274,28 @@ class SlottedPage:
         Slot numbers (and therefore RIDs) are preserved; only payload
         offsets move.  Used by the bulk-delete reorganization pass.
         """
-        entries: List[Tuple[int, bytes]] = list(self.records())
-        slot_count = self.slot_count
+        data = self.data
+        slot_count, _, _, directory_start = self._header()
+        flat = self._flat_directory(slot_count)
+        offsets, lengths = flat[-2::-2], flat[-1::-2]
+        packed = array("H", bytes(2 * slot_count))  # dead slots: offset 0
+        payloads: List[bytearray] = []
         cursor = HEADER_SIZE
-        # Zero payload area first so stale bytes never linger.
-        directory_start = self.page_size - SLOT_SIZE * slot_count
-        self.data[HEADER_SIZE:directory_start] = bytes(
-            directory_start - HEADER_SIZE
+        for slot, (offset, length) in enumerate(zip(offsets, lengths)):
+            if length:
+                payloads.append(data[offset : offset + length])
+                packed[slot] = cursor
+                cursor += length
+        flat[-2::-2] = packed
+        if _BIG_ENDIAN:
+            flat.byteswap()
+        # The survivors packed from the header on, zeros up to the
+        # directory: stale payload bytes never linger.
+        data[HEADER_SIZE:directory_start] = b"".join(payloads).ljust(
+            directory_start - HEADER_SIZE, b"\x00"
         )
-        live = 0
-        for slot in range(slot_count):
-            self._write_slot(slot, 0, 0)
-        for slot, payload in entries:
-            self.data[cursor : cursor + len(payload)] = payload
-            self._write_slot(slot, cursor, len(payload))
-            cursor += len(payload)
-            live += 1
-        self._write_header(slot_count, cursor, live)
+        data[directory_start:] = flat.tobytes()
+        _HEADER.pack_into(data, 0, slot_count, cursor, len(payloads), 0)
 
     def is_empty(self) -> bool:
-        return self.live_records == 0
+        return self._header()[2] == 0

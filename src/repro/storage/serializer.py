@@ -16,7 +16,12 @@ from repro.errors import SchemaError
 
 
 class RecordSerializer:
-    """Packs/unpacks value tuples for one :class:`TableSchema`."""
+    """Packs/unpacks value tuples for one :class:`TableSchema`.
+
+    The schema is decided once, here: ``pack`` and ``unpack`` walk
+    precomputed column positions instead of re-reading attribute types
+    for every record.
+    """
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
@@ -29,40 +34,50 @@ class RecordSerializer:
             else:  # pragma: no cover - enum is closed
                 raise SchemaError(f"unsupported type {attr.data_type}")
         self._struct = struct.Struct("".join(parts))
+        #: ``(position, name, CHAR length or 0 for INT)`` per column.
+        self._columns = tuple(
+            (position, attr.name, attr.length)
+            for position, attr in enumerate(schema.attributes)
+        )
+        self._char_positions = tuple(
+            position for position, _, length in self._columns if length
+        )
 
     @property
     def record_size(self) -> int:
         return self._struct.size
 
     def pack(self, values: Sequence[object]) -> bytes:
-        if len(values) != len(self.schema.attributes):
+        if len(values) != len(self._columns):
             raise SchemaError(
-                f"expected {len(self.schema.attributes)} values, "
+                f"expected {len(self._columns)} values, "
                 f"got {len(values)}"
             )
-        prepared: List[object] = []
-        for attr, value in zip(self.schema.attributes, values):
-            if attr.data_type is DataType.INT:
-                if not isinstance(value, int) or isinstance(value, bool):
+        prepared = list(values)
+        for position, name, length in self._columns:
+            value = prepared[position]
+            if not length:
+                if type(value) is not int and (
+                    not isinstance(value, int) or isinstance(value, bool)
+                ):
                     raise SchemaError(
-                        f"attribute {attr.name} expects an int, got {value!r}"
+                        f"attribute {name} expects an int, got {value!r}"
                     )
-                prepared.append(value)
+                continue
+            if isinstance(value, str):
+                raw = value.encode("utf-8")
+            elif isinstance(value, (bytes, bytearray)):
+                raw = bytes(value)
             else:
-                if isinstance(value, str):
-                    raw = value.encode("utf-8")
-                elif isinstance(value, (bytes, bytearray)):
-                    raw = bytes(value)
-                else:
-                    raise SchemaError(
-                        f"attribute {attr.name} expects a string, got {value!r}"
-                    )
-                if len(raw) > attr.length:
-                    raise SchemaError(
-                        f"attribute {attr.name} is CHAR({attr.length}); "
-                        f"value of {len(raw)} bytes is too long"
-                    )
-                prepared.append(raw.ljust(attr.length, b"\x00"))
+                raise SchemaError(
+                    f"attribute {name} expects a string, got {value!r}"
+                )
+            if len(raw) > length:
+                raise SchemaError(
+                    f"attribute {name} is CHAR({length}); "
+                    f"value of {len(raw)} bytes is too long"
+                )
+            prepared[position] = raw  # ``struct`` pads with NULs
         return self._struct.pack(*prepared)
 
     def unpack(self, payload: bytes) -> Tuple[object, ...]:
@@ -72,10 +87,9 @@ class RecordSerializer:
                 f"size {self._struct.size}"
             )
         raw = self._struct.unpack(payload)
-        values: List[object] = []
-        for attr, value in zip(self.schema.attributes, raw):
-            if attr.data_type is DataType.INT:
-                values.append(value)
-            else:
-                values.append(value.rstrip(b"\x00").decode("utf-8"))
+        if not self._char_positions:
+            return raw
+        values = list(raw)
+        for position in self._char_positions:
+            values[position] = values[position].rstrip(b"\x00").decode("utf-8")
         return tuple(values)

@@ -194,6 +194,26 @@ def test_recovery_is_terminal_and_preserves_sequences():
     assert tree_state(second) == tree_state(first)
 
 
+def test_log_page_with_a_garbage_header_ends_replay_like_a_torn_tail():
+    """A page whose checksum is fine but whose header claims a directory
+    larger than the page is a ``StorageError`` — which the replay loop
+    treats as the end of the chain — not a read from the wrong end of
+    the frame or a bare ``struct.error``."""
+    pool = make_pool(pages=48)
+    tree = LsmTree(pool, name="t", config=TINY)
+    for key in range(6):
+        tree.put(key, b"v%d" % key)
+    model = tree_state(tree)
+    with pool.pin(tree._log_pages[-1]) as pinned:
+        pinned.data[:] = b"\xff" * len(pinned.data)
+        pinned.mark_dirty()
+    pool.flush_page(tree._log_pages[-1])
+    pool.invalidate_all()
+    recovered = LsmTree.recover(pool, tree.handle, config=TINY, name="t")
+    del model[5]  # the op on the ruined page is the only one lost
+    assert tree_state(recovered) == model
+
+
 # ----------------------------------------------------------------------
 # FADE
 # ----------------------------------------------------------------------

@@ -16,7 +16,11 @@ freed pages) on purpose — that *is* the contract under test:
 # lint: allow-file(raw-page-io)
 """
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.retention import (
@@ -24,8 +28,10 @@ from repro.retention import (
     RecoverableRetentionRun,
     RetentionScenario,
     audit_erasure,
+    audit_mutation_checks,
     build_witness,
 )
+from repro.retention.audit import ErasureReport, _scan_image
 from repro.storage.disk import SimulatedDisk
 
 PATTERN = b"S7700001!"
@@ -153,3 +159,69 @@ def test_build_witness_merges_plans_and_patterns():
     # Both policies target orders (CASCADE + expiry): one merged entry.
     ts_keys = witness.keys_for("orders", "TS")
     assert set(case.expired_ts) <= set(ts_keys)
+
+
+# ----------------------------------------------------------------------
+# the raw-image scan: one compiled gate, then today's per-pattern loop
+# ----------------------------------------------------------------------
+#: A small alphabet so patterns share prefixes, contain one another and
+#: overlap in the image; regex metacharacters and NUL are in it.
+_ALPHABET = b"ab.\x00(|)*\\[^$?+-"
+_chunks = st.lists(st.sampled_from(list(_ALPHABET)), max_size=6).map(bytes)
+
+
+def _findings(witness, image):
+    report = ErasureReport()
+    _scan_image(image, witness, report, "page", 7, detail_prefix="p: ")
+    return report.findings
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    patterns=st.lists(_chunks, max_size=8).map(tuple),
+    image=st.lists(st.sampled_from(list(_ALPHABET)), max_size=60).map(bytes),
+)
+def test_gated_scan_reports_exactly_what_the_ungated_loop_does(patterns, image):
+    gated = ErasureWitness(patterns=patterns)
+    ungated = ErasureWitness(patterns=patterns)
+    # A gate that lets every image through is the parent's plain loop.
+    ungated.__dict__["pattern_gate"] = re.compile(b"")
+    want = _findings(ungated, image)
+    assert [f.detail for f in want] == [
+        f"p: witness bytes {p!r} present" for p in patterns if p in image
+    ]
+    assert _findings(gated, image) == want
+    assert _findings(gated, bytearray(image)) == want
+    # The gate itself is exact, not merely safe: it opens iff the loop
+    # would find something.
+    assert (gated.pattern_gate.search(image) is not None) == bool(want)
+
+
+def test_gate_is_a_prefix_trie_built_once_per_witness():
+    witness = ErasureWitness(
+        patterns=(b"S7700001!", b"S7700002!", b"S7700002!x", b"E77.1", b"E77*2")
+    )
+    gate = witness.pattern_gate
+    assert witness.pattern_gate is gate  # cached on the witness
+    # Shared prefixes factored, the extension of a whole pattern pruned,
+    # metacharacters escaped.
+    assert gate.pattern == rb"(?:E77(?:\*2|\.1)|S770000(?:1!|2!))"
+    assert ErasureWitness().pattern_gate.search(b"anything") is None
+    assert _findings(ErasureWitness(), b"anything") == []
+    assert [f.detail for f in _findings(ErasureWitness(patterns=(b"",)), b"")] == [
+        "p: witness bytes b'' present"
+    ]
+
+
+def test_blinded_gate_misses_exactly_the_raw_image_plants(monkeypatch):
+    """The two planted traces that live only in raw bytes (a retained
+    WAL image, an unshredded freed page) are found *through* the gate:
+    blind it and exactly those two mutation checks fail."""
+    assert audit_mutation_checks(RetentionScenario()) == []
+    monkeypatch.setattr(
+        ErasureWitness, "pattern_gate", property(lambda self: re.compile(b"(?!)"))
+    )
+    failures = audit_mutation_checks(RetentionScenario())
+    assert [failure.split(":")[0] for failure in failures] == [
+        "retained WAL image", "unshredded freed page",
+    ]

@@ -130,3 +130,67 @@ def test_can_fit_accounts_for_slot_entry():
     page = make_page(size=HEADER_SIZE + SLOT_SIZE + 10)
     assert page.can_fit(10)
     assert not page.can_fit(11)
+
+
+# ----------------------------------------------------------------------
+# headers that cannot describe this page
+# ----------------------------------------------------------------------
+def _every_verb(page):
+    return [
+        lambda: page.slot_count,
+        lambda: page.live_records,
+        page.free_space,
+        lambda: page.can_fit(1),
+        page.potential_free_space,
+        lambda: page.insert(b"x"),
+        lambda: page.read(0),
+        lambda: page.read_many([0]),
+        lambda: page.is_live(0),
+        lambda: page.replace(0, b"x"),
+        lambda: page.delete(0),
+        lambda: page.delete_many([0]),
+        page.records,
+        page.directory,
+        page.compact,
+        page.is_empty,
+    ]
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"\xff" * HEADER_SIZE,  # garbage: 65 535 slots
+        # One slot more than a 512-byte page can hold beside its header.
+        ((512 - HEADER_SIZE) // SLOT_SIZE + 1).to_bytes(2, "little") + bytes(6),
+    ],
+)
+def test_directory_larger_than_the_page_is_a_storage_error(header):
+    data = bytearray(512)
+    data[:HEADER_SIZE] = header
+    before = bytes(data)
+    page = SlottedPage(data)
+    for verb in _every_verb(page):
+        with pytest.raises(StorageError, match="does not fit a 512-byte page"):
+            verb()
+    assert bytes(data) == before  # nothing was read from, or written to, the wrong end
+
+
+def test_largest_directory_that_fits_is_accepted():
+    data = bytearray(512)
+    capacity = (512 - HEADER_SIZE) // SLOT_SIZE
+    data[:2] = capacity.to_bytes(2, "little")
+    page = SlottedPage(data)
+    assert page.slot_count == capacity
+    assert page.records() == []  # every slot reads as dead
+
+
+def test_never_formatted_page_reads_as_empty():
+    """An all-zero page is the clean end of the LSM log chain: zero
+    slots, nothing live — not an error."""
+    page = SlottedPage(bytearray(512))
+    assert page.slot_count == 0 and page.live_records == 0
+    assert page.is_empty()
+    assert page.records() == []
+    assert page.read_many([]) == []
+    assert not page.is_live(0)
+    assert page.potential_free_space() == 512 - HEADER_SIZE - SLOT_SIZE
