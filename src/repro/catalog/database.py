@@ -13,6 +13,7 @@ but also to carry out sorting".
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.btree.tree import BLinkTree
@@ -27,7 +28,12 @@ from repro.catalog.catalog import (
 )
 from repro.catalog.composite import CompositeKeyCodec
 from repro.catalog.schema import Attribute, DataType, TableSchema
-from repro.errors import CatalogError, IndexOfflineError, UniqueViolationError
+from repro.errors import (
+    CatalogError,
+    ForkError,
+    IndexOfflineError,
+    UniqueViolationError,
+)
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskParameters, SimClock, SimulatedDisk
 from repro.storage.heap import HeapFile
@@ -53,6 +59,55 @@ class Database:
         #: (the default: no tracing, no metrics, no overhead).  Use
         #: :meth:`observe` / ``repro.obs.observed(db)`` to manage it.
         self.obs: Optional[object] = None
+
+    # ------------------------------------------------------------------
+    # copy-on-write fork
+    # ------------------------------------------------------------------
+    def fork(self) -> "Database":
+        """A copy-on-write clone: simulated-identical to this database,
+        independent of it from here on.
+
+        Page images are immutable ``bytes`` and are shared; everything
+        mutable (catalog and structure metadata, free-space maps, clock,
+        disk and pool counters, checksums, freed and quarantined pages,
+        the pool's frames in LRU order with their dirty bits) is copied.
+        A statement issued on the fork is billed exactly as on a fresh
+        build of the same database.  Raises :class:`ForkError` while an
+        observer, fault injector, lane or media recovery is attached, or
+        while any frame is pinned.
+
+        To fork a database *together with* objects that point at it (a
+        WAL, a constraint registry, a sweep case), ``copy.deepcopy`` the
+        enclosing object: the database is cloned once and every
+        reference is rebound to the clone.
+        """
+        return copy.deepcopy(self)
+
+    def __deepcopy__(self, memo: dict) -> "Database":
+        refusals = self._fork_refusals()
+        if refusals:
+            raise ForkError("cannot fork the database: " + "; ".join(refusals))
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        return clone
+
+    def _fork_refusals(self) -> List[str]:
+        """What makes this instance unsafe to copy right now."""
+        disk, pool = self.disk, self.pool
+        refusals: List[str] = []
+        if self.obs is not None or disk.observer is not None:
+            refusals.append("an observer is attached")
+        if disk.fault_injector is not None:
+            refusals.append("a fault injector is armed")
+        if disk.active_lane is not None:
+            refusals.append(f"lane {disk.active_lane} is active")
+        if pool.media is not None:
+            refusals.append("media recovery is attached to the pool")
+        pinned = pool.pinned_page_ids()
+        if pinned:
+            refusals.append(f"pages {pinned} are pinned")
+        return refusals
 
     @property
     def clock(self) -> SimClock:

@@ -27,6 +27,12 @@ class BufferPoolError(StorageError):
     """The buffer pool cannot satisfy a request (e.g. all frames pinned)."""
 
 
+class ForkError(ReproError):
+    """``Database.fork()`` was refused: the database is mid-statement or
+    has a per-instance hook attached (observer, fault injector, active
+    lane, media recovery, pinned frame) that a copy cannot carry."""
+
+
 class CatalogError(ReproError):
     """Unknown table/index/column, or a conflicting definition."""
 

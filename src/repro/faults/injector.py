@@ -21,6 +21,7 @@ import contextlib
 import random
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.errors import ForkError
 from repro.faults.plan import LATENT, STUCK, TRANSIENT, FaultPlan, SimulatedCrash
 
 #: Payload key marking a torn (partially forced) WAL record.
@@ -53,6 +54,12 @@ class FaultInjector:
         self._disk: Optional[Any] = None
         self._pool: Optional[Any] = None
         self._log: Optional[Any] = None
+
+    def __deepcopy__(self, memo: dict) -> "FaultInjector":
+        # An injector is bound to the one disk / pool / WAL it is armed
+        # on; a copy of an armed structure (a forked database, a forked
+        # sweep case) would share or lose it.  Disarm first.
+        raise ForkError("cannot fork while a fault injector is armed")
 
     # ------------------------------------------------------------------
     # wiring

@@ -26,14 +26,26 @@ re-issue is refused and the point fails.  A statement that restart
 *did* carry forward is never re-issued: a state short of the oracle is
 then a recovery bug, and re-running the statement would mask it.
 
-Scenario builds are deterministic (seeded RNG, simulated clock), so
-durable event k always lands on the same write: a failing point is
-exactly reproducible with ``FaultPlan(crash_after_event=k)`` on a fresh
-build.
+Build once, fork per point
+--------------------------
+
+A sweep calls ``Scenario.build`` exactly once.  That case is the
+*template*: it is never issued against.  The oracle pass and every
+point run on their own fork of it, ``copy.deepcopy(template)`` — which
+clones the case's :class:`~repro.catalog.database.Database` through
+:meth:`~repro.catalog.database.Database.fork` (page images shared,
+everything mutable copied) and rebinds every other reference in the
+case (WAL, constraint registry, plans) to the clone.  A fork is
+simulated-identical to a fresh build, so durable event k always lands
+on the same write: a failing point is exactly reproducible with
+``FaultPlan(crash_after_event=k)`` on a fresh build.  At the end of
+each sweep the template's state must still be the pre-statement state;
+a fork that leaked a write into it fails the sweep.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -63,7 +75,9 @@ class Scenario(Protocol[C]):
 
     def build(self) -> C:
         """A fresh case, bit-identical on every call, whose
-        pre-statement image is already durable."""
+        pre-statement image is already durable.  The kernel calls it
+        once per sweep and ``copy.deepcopy``-forks the result per run,
+        so the case must copy faithfully (a database in it forks)."""
 
     def issue(
         self,
@@ -118,6 +132,19 @@ def _name_units(units: Sequence[Any]) -> str:
     shown = ", ".join(str(unit) for unit in units[:5])
     more = len(units) - 5
     return shown + (f" (+{more} more)" if more > 0 else "")
+
+
+def _require_pristine(
+    scenario: "Scenario[C]", template: C, initial: State
+) -> None:
+    """Fail the sweep if a run wrote through its fork into the template
+    (every later point would then have started from the wrong state)."""
+    changed = _behind(scenario.state(template), initial)
+    if changed:
+        raise ReproError(
+            "sweep template changed during the sweep (a fork leaked a "
+            f"write into it): {_name_units(changed)}"
+        )
 
 
 def _oracle_state(scenario: "Scenario[C]", case: C) -> State:
@@ -199,8 +226,10 @@ def crash_sweep(
     """
     say = log_fn or (lambda message: None)
 
-    # Pass 0: pre-statement state, oracle state, durable event count.
-    case = scenario.build()
+    # Pass 0, on a fork of the one build: pre-statement state, oracle
+    # state, durable event count.
+    template = scenario.build()
+    case = copy.deepcopy(template)
     initial = scenario.state(case)
     counter = FaultInjector()
     scenario.issue(case, counter, None)
@@ -217,7 +246,8 @@ def crash_sweep(
 
     def run(event: int, second_event: Optional[int]) -> PointOutcome:
         outcome = _crash_point(
-            scenario, modifiers, event, second_event, initial, oracle
+            scenario, copy.deepcopy(template), modifiers, event,
+            second_event, initial, oracle,
         )
         report.outcomes.append(outcome)
         if not outcome.ok:
@@ -232,11 +262,13 @@ def crash_sweep(
         if first.ok:
             for j in choose_points(first.recovery_events, doubles):
                 run(k, j)
+    _require_pristine(scenario, template, initial)
     return report
 
 
 def _crash_point(
     scenario: "Scenario[C]",
+    case: C,
     modifiers: Mapping[str, Any],
     event: int,
     second_event: Optional[int],
@@ -244,7 +276,6 @@ def _crash_point(
     oracle: State,
 ) -> PointOutcome:
     outcome = PointOutcome(event=event, second_event=second_event)
-    case = scenario.build()
     try:
         scenario.issue(
             case,
@@ -370,9 +401,14 @@ def media_sweep(
     repair it."""
     say = log_fn or (lambda message: None)
 
-    # Pass 0: pre-statement pages + state, fault-free oracle state.
-    case = scenario.build()
-    pages = case.db.disk.page_ids()
+    # Pass 0, on a fork of the one build: pre-statement pages + state,
+    # fault-free oracle state.  The operator's backup is the template's
+    # pre-statement durable image of every page, taken once.
+    template = scenario.build()
+    disk = template.db.disk
+    pages = disk.page_ids()
+    backup = {pid: disk.durable_image(pid) for pid in pages}
+    case = copy.deepcopy(template)
     initial = scenario.state(case)
     scenario.issue(case, None, None)
     oracle = _oracle_state(scenario, case)
@@ -387,7 +423,8 @@ def media_sweep(
     for kind in kinds:
         for page_id in report.pages:
             outcome = _media_point(
-                scenario, page_id, kind, initial, oracle, policy
+                scenario, copy.deepcopy(template), backup, page_id, kind,
+                initial, oracle, policy,
             )
             report.outcomes.append(outcome)
             if not outcome.ok:
@@ -395,11 +432,14 @@ def media_sweep(
                     f"  page {page_id} ({kind}): FAIL: "
                     f"{outcome.problems[0]}"
                 )
+    _require_pristine(scenario, template, initial)
     return report
 
 
 def _media_point(
     scenario: "Scenario[Any]",
+    case: Any,
+    backup: Mapping[int, bytes],
     page_id: int,
     kind: str,
     initial: State,
@@ -407,12 +447,8 @@ def _media_point(
     policy: Optional[MediaPolicy],
 ) -> MediaPointOutcome:
     outcome = MediaPointOutcome(page_id=page_id, kind=kind)
-    case = scenario.build()
     db, log, disk = case.db, case.log, case.db.disk
     logged = len(log)
-    # The operator's backup: the pre-statement durable image of every
-    # page (taken before the injector arms and corrupts anything).
-    backup = {pid: disk.durable_image(pid) for pid in disk.page_ids()}
     # Arming applies at-rest corruption for latent/stuck plans.
     injector = FaultInjector(
         FaultPlan(read_fault=kind, read_fault_page=page_id)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import BufferPoolError, StorageError
 from repro.storage.disk import SimulatedDisk
@@ -268,6 +268,14 @@ class BufferPool:
 
     def contains(self, page_id: int) -> bool:
         return page_id in self._frames
+
+    def pinned_page_ids(self) -> List[int]:
+        """Resident pages with a nonzero pin count, sorted."""
+        return sorted(
+            page_id
+            for page_id, frame in self._frames.items()
+            if frame.pin_count > 0
+        )
 
     @property
     def resident_count(self) -> int:

@@ -523,6 +523,11 @@ class SimulatedDisk:
         self._contended = contended
         self.lane_stats.setdefault(lane_id, DiskStats())
 
+    @property
+    def active_lane(self) -> Optional[int]:
+        """The lane accesses are attributed to, or ``None``."""
+        return self._active_lane
+
     def end_lane(self) -> None:
         """Stop attributing accesses to the active lane."""
         self._active_lane = None

@@ -43,6 +43,11 @@ class RecordSerializer:
             position for position, _, length in self._columns if length
         )
 
+    def __deepcopy__(self, memo: dict) -> "RecordSerializer":
+        # Immutable after ``__init__`` (and ``struct.Struct`` cannot be
+        # copied): a forked database shares it.
+        return self
+
     @property
     def record_size(self) -> int:
         return self._struct.size

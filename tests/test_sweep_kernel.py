@@ -13,7 +13,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ReproError
-from repro.faults.kernel import choose_points, crash_sweep
+from repro.faults.kernel import choose_points, crash_sweep, media_sweep
+from repro.faults.plan import READ_FAULT_KINDS
+from repro.faults.sweep import RecoverableStatement, SweepScenario
 
 KEYS = (1, 2, 3)
 
@@ -28,9 +30,11 @@ class Fake:
     amnesiac: bool = False  # restart finishes nothing, and says so
     restless: bool = False  # every restart claims it resumed something
     unsound: bool = False   # the scenario's own check always fails
+    leaky: bool = False     # a "fork" of the case is the case itself
 
     def build(self):
-        return {k: f"row{k}" for k in range(6)}
+        rows = {k: f"row{k}" for k in range(6)}
+        return Shared(rows) if self.leaky else rows
 
     def _delete(self, rows, keys, faults):
         for key in keys:
@@ -58,6 +62,28 @@ class Fake:
 
     def problems(self, rows, oracle):
         return ["the check is unsound"] if self.unsound else []
+
+
+class Shared(dict):
+    """A case whose copy is itself: every run writes into the template."""
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class Counting:
+    """Wraps a scenario and counts its builds."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.builds = 0
+
+    def build(self):
+        self.builds += 1
+        return self.inner.build()
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 def first_problems(report):
@@ -135,3 +161,27 @@ def test_choose_points_spacing():
         assert choose_points(total, max_points) == expected, (
             total, max_points,
         )
+
+
+def test_a_fork_that_leaks_into_the_template_fails_the_sweep():
+    with pytest.raises(ReproError, match="template changed during the sweep"):
+        crash_sweep(Fake(leaky=True))
+
+
+def test_crash_sweep_builds_its_scenario_once():
+    scenario = Counting(Fake())
+    report = crash_sweep(scenario, doubles=None)
+    assert report.ok and len(report.outcomes) == 10
+    assert scenario.builds == 1
+    heap = Counting(RecoverableStatement(SweepScenario(records=24), True))
+    report = crash_sweep(heap, max_points=4, doubles=1, torn_write=True)
+    assert report.ok, report.summary()
+    assert heap.builds == 1
+
+
+def test_media_sweep_builds_its_scenario_once():
+    scenario = Counting(RecoverableStatement(SweepScenario(records=24), True))
+    report = media_sweep(scenario, READ_FAULT_KINDS, max_points=3)
+    assert report.ok, report.summary()
+    assert len(report.outcomes) == 3 * len(READ_FAULT_KINDS)
+    assert scenario.builds == 1
