@@ -180,8 +180,8 @@ def main() -> None:
         "the interference window open ~10x longer.  All numbers "
         "reconcile exactly against the observer's spans and `oltp.*` "
         "metrics (same addends, same order — no epsilon); "
-        "`python -m repro oltp --selfcheck` re-checks the methodology "
-        "end to end.\n\n"
+        "`tests/test_traffic.py` re-checks the methodology end to "
+        "end.\n\n"
         f"```\n{load('fig_oltp_interference')}\n```\n"
     )
     out.append(
@@ -200,9 +200,9 @@ def main() -> None:
         "post-table region.  Per-task lane time must equal each "
         "fragment executor's own elapsed time to the last bit and "
         "fragment row counts must sum to the statement total "
-        "(`reconcile_problems` is always 0); `python -m repro shard "
-        "--selfcheck` re-checks routing, bit-identity, speedup and "
-        "hot-range taming end to end.\n\n"
+        "(`reconcile_problems` is always 0); `tests/test_shard.py` "
+        "re-checks routing, bit-identity, speedup and hot-range "
+        "taming end to end.\n\n"
         f"```\n{load('fig_shard_scaling')}\n```\n"
     )
     out.append(
@@ -233,8 +233,8 @@ def main() -> None:
         "premium.  The unrecoverability audit then sweeps every live "
         "and freed page, index, LSM run, WAL record and full-page "
         "image for witness traces: read-only, a small fraction of the "
-        "run it checks, and required to find nothing.  `python -m "
-        "repro retention --selfcheck` and `python -m repro faultsweep "
+        "run it checks, and required to find nothing.  "
+        "`tests/test_retention_run.py` and `python -m repro faultsweep "
         "--retention` re-verify the guarantees the premium buys.\n\n"
         f"```\n{load('fig_retention_overhead')}\n```\n"
     )

@@ -45,19 +45,13 @@ def run_analysis(
     if not skip_effects:
         from repro.analysis.effects import analyze_effects
 
-        # The checked-in baseline names functions of the repro tree;
-        # holding a foreign --root to it would only yield stale-entry
-        # errors, so custom roots run against an empty baseline.
-        effect_root = root or default_root()
-        if effect_root == default_root():
-            report = analyze_effects(effect_root)
-        else:
-            report = analyze_effects(effect_root, baseline=())
-        findings.extend(report.findings)
+        findings.extend(analyze_effects(root or default_root()).findings)
     return findings
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The gate's argument parser (``repro lint`` passes its arguments
+    here unchanged)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
@@ -103,6 +97,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--strict", action="store_true",
         help="treat WARNING findings as failures too",
     )
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.root is not None and not args.root.is_dir():
         parser.error(f"--root {args.root} is not a directory")

@@ -45,6 +45,7 @@ from repro.analysis.effects.lattice import (
     propagate,
     seed_effects,
 )
+from repro.analysis.code_lint import default_root
 from repro.analysis.findings import Finding, Severity
 
 #: Emitted (as an error) when a baseline entry suppresses nothing —
@@ -90,9 +91,17 @@ def build_effect_graph(
 def analyze_effects(
     root: Path,
     package: Optional[str] = None,
-    baseline: Sequence[BaselineEntry] = BASELINE,
+    baseline: Optional[Sequence[BaselineEntry]] = None,
 ) -> EffectsReport:
-    """Run the full pipeline over the package at ``root``."""
+    """Run the full pipeline over the package at ``root``.
+
+    ``baseline`` defaults to the checked-in :data:`BASELINE` when
+    ``root`` is the repro package and to an empty one otherwise: the
+    baseline names functions of the repro tree, so holding a foreign
+    root to it would only yield stale-entry errors.
+    """
+    if baseline is None:
+        baseline = BASELINE if root == default_root() else ()
     graph = build_effect_graph(root, package)
     report = EffectsReport(graph=graph)
     matched: List[Tuple[str, str]] = []

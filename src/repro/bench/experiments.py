@@ -293,14 +293,14 @@ def fig_scrub_overhead(record_count: int = DEFAULT_RECORDS,
             records_deleted=result.records_deleted,
             sim_seconds=delete_seconds,
             scaled_minutes=delete_seconds / 60.0 * scale,
-            io=delete_io, wall_seconds=0.0,
+            io=delete_io,
         ))
         series.rows["scrub pass"].append(RunResult(
             approach="scrub pass", fraction=0.15,
             records_deleted=0,
             sim_seconds=scrub_seconds,
             scaled_minutes=scrub_seconds / 60.0 * scale,
-            io=scrub_io, wall_seconds=0.0,
+            io=scrub_io,
             extra={
                 "pages_checked": float(report.pages_checked),
                 "overhead_pct": 100.0 * scrub_seconds / delete_seconds,
@@ -381,7 +381,6 @@ def fig_retention_overhead(record_count: int = DEFAULT_RECORDS,
             sim_seconds=cascade_seconds,
             scaled_minutes=cascade_seconds / 60.0,
             io=case.db.disk.stats.delta_since(base_io),
-            wall_seconds=0.0,
         ))
 
         # Pass 2 + 3: the compliant run, then the adversary's read.
@@ -399,7 +398,7 @@ def fig_retention_overhead(record_count: int = DEFAULT_RECORDS,
             records_deleted=run_report.records_deleted,
             sim_seconds=run_seconds,
             scaled_minutes=run_seconds / 60.0,
-            io=run_io, wall_seconds=0.0,
+            io=run_io,
             extra={
                 "pages_shredded": float(run_report.erase.pages_shredded),
                 "wal_redacted": float(
@@ -424,7 +423,6 @@ def fig_retention_overhead(record_count: int = DEFAULT_RECORDS,
             sim_seconds=audit_seconds,
             scaled_minutes=audit_seconds / 60.0,
             io=case.db.disk.stats.delta_since(audit_base_io),
-            wall_seconds=0.0,
             extra={
                 "pages_scanned": float(audit.pages_scanned),
                 "wal_records_scanned": float(audit.wal_records_scanned),
@@ -501,7 +499,6 @@ def fig_oltp_interference(record_count: int = DEFAULT_RECORDS,
                 sim_seconds=sim_seconds,
                 scaled_minutes=sim_seconds / 60.0 * config.scale_factor,
                 io=db.disk.stats.snapshot(),
-                wall_seconds=0.0,
                 extra={
                     "p50_during_ms": during.percentile(50),
                     "p95_during_ms": during.percentile(95),
@@ -584,7 +581,6 @@ def fig_shard_scaling(record_count: int = DEFAULT_RECORDS,
             sim_seconds=sim_seconds,
             scaled_minutes=sim_seconds / 60.0 * config.scale_factor,
             io=db.disk.stats.snapshot(),
-            wall_seconds=0.0,
             extra={
                 "region_speedup": (
                     region.speedup if region is not None else 1.0
@@ -731,7 +727,7 @@ def fig_lsm_vs_vertical(record_count: int = DEFAULT_RECORDS,
                 records_deleted=result.records_deleted,
                 sim_seconds=sim_seconds,
                 scaled_minutes=sim_seconds / 60.0 * config.scale_factor,
-                io=result.io, wall_seconds=0.0,
+                io=result.io,
                 extra={
                     "point_tombstones": float(result.point_tombstones),
                     "range_tombstones": float(result.range_tombstones),
@@ -799,6 +795,7 @@ ALL_EXPERIMENTS = {
     "figure_10": figure_10,
     "fig_parallel_speedup": fig_parallel_speedup,
     "fig_scrub_overhead": fig_scrub_overhead,
+    "fig_retention_overhead": fig_retention_overhead,
     "fig_oltp_interference": fig_oltp_interference,
     "fig_shard_scaling": fig_shard_scaling,
     "fig_lsm_vs_vertical": fig_lsm_vs_vertical,

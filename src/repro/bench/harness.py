@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -34,7 +33,6 @@ class RunResult:
     sim_seconds: float
     scaled_minutes: float
     io: DiskStats
-    wall_seconds: float
     extra: Dict[str, float] = field(default_factory=dict)
     #: Root :class:`repro.obs.trace.Span` covering the run, captured
     #: when the harness was asked to ``observe``; ``None`` otherwise.
@@ -73,9 +71,6 @@ def run_approach(
     )
     if run_span is not None:
         run_span.__enter__()
-    # RunResult.wall_seconds deliberately reports *host* time next to
-    # the simulated clock — it never feeds a cost result.
-    wall_start = time.perf_counter()  # lint: allow(wall-clock)
     extra: Dict[str, float] = {}
     if approach == "bulk":
         result = bulk_delete(
@@ -109,7 +104,6 @@ def run_approach(
         deleted = dc.records_deleted
         extra["delete_minutes"] = dc.delete_ms / 60000.0
         extra["recreate_minutes"] = dc.recreate_ms / 60000.0
-    wall = time.perf_counter() - wall_start  # lint: allow(wall-clock)
     trace = None
     if run_span is not None:
         run_span.set(records_deleted=deleted)
@@ -124,7 +118,6 @@ def run_approach(
         sim_seconds=sim_seconds,
         scaled_minutes=sim_seconds / 60.0 * config.scale_factor,
         io=db.disk.stats.snapshot(),
-        wall_seconds=wall,
         extra=extra,
         trace=trace,
     )

@@ -6,8 +6,7 @@ Commands:
   database, or start an interactive shell (``EXPLAIN DELETE ...`` shows
   plans; ``\\stats`` prints I/O counters; ``\\quit`` exits),
 * ``experiment <name>`` — regenerate one of the paper's figures/tables
-  (``figure_1``, ``figure_7``, ``figure_8``, ``table_1``, ``figure_9``,
-  ``figure_10``, or ``all``),
+  (a key of :data:`repro.bench.experiments.ALL_EXPERIMENTS`, or ``all``),
 * ``demo`` — a one-minute tour: build a workload, show the plan, run
   the bulk delete and the traditional baseline,
 * ``trace`` — run a traced bulk delete (a generated workload, or the
@@ -18,7 +17,6 @@ Commands:
   concurrently with a bulk delete on one simulated clock, and the
   per-session latency histograms plus the stall-attribution report
   quantify the interference (``--strategy sidefile|chunked|both``;
-  ``--selfcheck`` asserts the methodology's invariants end to end;
   see :mod:`repro.workload.traffic` and ``docs/workloads.md``),
 * ``faultsweep`` — the crash sweeps of ``docs/fault_injection.md``:
   crash a recoverable bulk delete after every durable event (WAL
@@ -29,21 +27,22 @@ Commands:
   read (``--lsm --lanes 4``) is a usage error,
 * ``shard`` — range-sharded bulk delete: route a delete list across
   key-range shards (each with its own heap and indexes) and run the
-  fragments as independent lane tasks (``--lanes``, ``--shards``);
-  ``--selfcheck`` asserts exact-once routing, 1-shard bit-identity
-  with the unsharded executor, lane speedup, exact rollup
-  reconciliation, and hot-range taming (see :mod:`repro.shard` and
-  ``docs/sharding.md``),
+  fragments as independent lane tasks (``--lanes``, ``--shards``; see
+  :mod:`repro.shard` and ``docs/sharding.md``),
 * ``mediasweep`` — the media-failure analogue: every read-fault kind
   (transient / latent / stuck) on every durable page must self-heal to
   the oracle or abort typed and clean (see :mod:`repro.media.sweep`),
+* ``lsm`` — bulk delete on the delete-aware LSM engine (tombstones,
+  FADE compactions; see ``docs/storage_engines.md``),
 * ``scrub`` — the online amcheck-style scrubber: checksum-sweep every
-  live page and cross-reconcile heaps against their indexes;
-  ``--selfcheck`` injects known faults and verifies detection,
-  healing, and quarantine end to end,
-* ``lint`` (alias ``analysis``) — run the static checkers of
-  :mod:`repro.analysis`: the simulation-invariant code lint over the
-  package and the plan linter over representative planner output,
+  live page and cross-reconcile heaps against their indexes,
+* ``retention`` — compile the retention policies into a cascading
+  delete DAG, run it crash-resumably, erase and audit (see
+  ``docs/retention.md``),
+* ``lint`` (alias ``analysis``) — ``python -m repro.analysis`` with the
+  same arguments: the simulation-invariant code lint over the package,
+  the plan linter over representative planner output and the effect
+  engine,
 * ``effects`` — the whole-program effect engine alone: build the call
   graph, infer per-function effect sets, and check the layering
   contracts and lane safety (``--dot`` dumps the annotated graph).
@@ -249,21 +248,14 @@ def _cmd_oltp(args: argparse.Namespace) -> int:
     )
 
     strategies = (
-        ["sidefile", "chunked"]
-        if args.strategy == "both" or args.selfcheck
+        ["sidefile", "chunked"] if args.strategy == "both"
         else [args.strategy]
     )
-    if args.selfcheck:
-        # Small but non-degenerate: enough sessions and ops that both
-        # stall kinds occur and the percentile ordering is meaningful.
-        records, sessions, ops = 1200, 6, 30
-    else:
-        records, sessions, ops = args.records, args.sessions, args.ops
     config = TrafficConfig(
-        sessions=sessions, ops_per_session=ops, seed=args.seed
+        sessions=args.sessions, ops_per_session=args.ops, seed=args.seed
     )
     results = run_interference_comparison(
-        record_count=records,
+        record_count=args.records,
         sessions=config.sessions,
         ops_per_session=config.ops_per_session,
         seed=config.seed,
@@ -280,22 +272,6 @@ def _cmd_oltp(args: argparse.Namespace) -> int:
         problems = result.reconcile(result.workload.db.obs)
         for problem in problems:
             failures.append(f"{name}: {problem}")
-    if args.selfcheck:
-        p99 = {
-            name: results[name].phase_hist("during").percentile(99)
-            for name in strategies
-        }
-        if not p99["sidefile"] < p99["chunked"]:
-            failures.append(
-                "selfcheck: side-file p99-during "
-                f"{p99['sidefile']:.1f}ms is not below chunked "
-                f"{p99['chunked']:.1f}ms"
-            )
-        for name in strategies:
-            if results[name].records_deleted == 0:
-                failures.append(f"selfcheck: {name} deleted nothing")
-        status = "ok" if not failures else f"{len(failures)} failure(s)"
-        print(f"oltp selfcheck: {status}")
     for failure in failures:
         print(f"  FAIL: {failure}")
     return 1 if failures else 0
@@ -427,8 +403,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
-    if args.selfcheck:
-        return _shard_selfcheck()
     from repro.shard import sharded_bulk_delete
     from repro.workload.generator import (
         WorkloadConfig,
@@ -453,144 +427,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     return 0 if not problems else 1
 
 
-def _shard_selfcheck() -> int:
-    """Assert the sharding layer's invariants on fixed scenarios."""
-    from repro.core.executor import bulk_delete
-    from repro.shard import choose_sharded_plan, sharded_bulk_delete
-    from repro.shard.planning import HOT_SERIALIZE, HOT_SPLIT
-    from repro.workload.generator import (
-        WorkloadConfig,
-        build_sharded_workload,
-        build_workload,
-    )
-
-    failures: List[str] = []
-
-    def check(label: str, ok: bool) -> None:
-        print(f"  {'ok' if ok else 'FAIL'}: {label}")
-        if not ok:
-            failures.append(label)
-
-    config = WorkloadConfig(
-        record_count=2000, index_columns=("A",), memory_paper_mb=5.0
-    )
-
-    # 1. Routing covers every key exactly once and the plan lints clean.
-    workload = build_sharded_workload(config, shards=4)
-    keys = workload.delete_keys(0.15)
-    plan = choose_sharded_plan(workload.db, "R", "A", keys, lanes=2)
-    routed = [k for frag in plan.fragments for k in frag.keys]
-    check(
-        "every key routed to exactly one fragment",
-        sorted(routed) == sorted(keys),
-    )
-    from repro.analysis.plan_lint import lint_sharded_plan
-    check(
-        "sharded plan lints clean",
-        not lint_sharded_plan(plan, workload.db),
-    )
-
-    # 2. One shard on one lane is bit-identical to the unsharded
-    #    executor (same keys, same simulated clock, to the last bit).
-    plain = build_workload(config)
-    plain_keys = plain.delete_keys(0.15)
-    plain.reset_measurements()
-    serial_result = bulk_delete(
-        plain.db, "R", "A", plain_keys, force_vertical=True
-    )
-    single = build_sharded_workload(config, shards=1)
-    single_keys = single.delete_keys(0.15)
-    single.reset_measurements()
-    sharded_result = sharded_bulk_delete(
-        single.db, "R", "A", single_keys, lanes=1
-    )
-    check(
-        "1 shard x 1 lane is bit-identical to the unsharded executor",
-        plain_keys == single_keys
-        and sharded_result.elapsed_ms == serial_result.elapsed_ms  # lint: allow(float-cost-eq)
-        and single.db.clock.now_ms == plain.db.clock.now_ms  # lint: allow(float-cost-eq)
-        and sharded_result.records_deleted == serial_result.records_deleted,
-    )
-
-    # 3. Four shards on two dedicated lanes: the region speeds up and
-    #    the logical outcome matches the serial sharded run.
-    workload = build_sharded_workload(config, shards=4)
-    keys = workload.delete_keys(0.15)
-    workload.reset_measurements()
-    observer = workload.db.observe()
-    result = sharded_bulk_delete(workload.db, "R", "A", keys, lanes=2)
-    workload.db.unobserve()
-    baseline = build_sharded_workload(config, shards=4)
-    baseline.reset_measurements()
-    serial = sharded_bulk_delete(baseline.db, "R", "A", keys, lanes=1)
-    check(
-        "2 dedicated lanes beat serial over 4 shards (>=1.9x region)",
-        result.region is not None and result.region.speedup >= 1.9,
-    )
-    check(
-        "parallel and serial sharded runs delete the same rows",
-        result.records_deleted == serial.records_deleted
-        and sorted(r[0] for r in workload.db.scan("R"))
-        == sorted(r[0] for r in baseline.db.scan("R")),
-    )
-
-    # 4. Rollups reconcile exactly and the shard.* metrics were fed.
-    check(
-        "lane/fragment/row rollups reconcile exactly",
-        not result.reconciliation_problems()
-        and not serial.reconciliation_problems(),
-    )
-    metrics = observer.metrics
-    check(
-        "shard.* metrics record the routing",
-        metrics.value("shard.route.calls") == 1
-        and metrics.value("shard.route.keys") == len(keys)
-        and metrics.value("shard.accesses") == len(keys),
-    )
-
-    # 5. Hot ranges are tamed: an oversized fragment splits, a
-    #    traffic-skewed shard serializes.  (The factor-2 threshold
-    #    needs the skew to *double* the mean — a fragment can never be
-    #    hot-by-size against only one sibling.)
-    workload = build_sharded_workload(config, shards=4)
-    table = workload.db.table("R")
-    bounds = table.shard_map.bounds
-    skewed = [a for a in workload.a_values if a < bounds[0]][:200]
-    skewed += [
-        a for a in workload.a_values if bounds[0] <= a < bounds[1]
-    ][:10]
-    skewed += [a for a in workload.a_values if a >= bounds[-1]][:10]
-    hot_plan = choose_sharded_plan(
-        workload.db, "R", "A", skewed, lanes=2, hot_factor=2.0
-    )
-    check(
-        "oversized fragment is split into serialized pieces",
-        any(f.policy == HOT_SPLIT for f in hot_plan.fragments),
-    )
-    for shard_id in (0, 1, 3):
-        table.note_shard_access(shard_id, 10)
-    for _ in range(70):
-        table.note_shard_access(2, 10)
-    even = workload.delete_keys(0.15)
-    skew_plan = choose_sharded_plan(
-        workload.db, "R", "A", even, lanes=2, hot_factor=2.0
-    )
-    check(
-        "traffic-skewed shard is serialized out of the lane region",
-        any(
-            f.policy == HOT_SERIALIZE and f.shard_id == 2
-            for f in skew_plan.fragments
-        ),
-    )
-
-    status = "ok" if not failures else f"{len(failures)} failure(s)"
-    print(f"shard selfcheck: {status}")
-    return 0 if not failures else 1
-
-
 def _cmd_lsm(args: argparse.Namespace) -> int:
-    if args.selfcheck:
-        return _lsm_selfcheck()
     from repro.catalog.database import Database
     from repro.catalog.schema import Attribute, TableSchema
     from repro.core.planner import choose_plan
@@ -636,281 +473,18 @@ def _cmd_lsm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lsm_selfcheck() -> int:
-    """Exercise the LSM engine end to end on fixed tiny scenarios."""
-    from repro.catalog.database import Database
-    from repro.catalog.schema import Attribute, TableSchema
-    from repro.core.planner import choose_plan
-    from repro.lsm import (
-        LsmConfig,
-        LsmTree,
-        lsm_bulk_delete,
-    )
-    from repro.lsm.planning import LsmDeletePlan
-
-    failures: List[str] = []
-
-    def check(label: str, ok: bool) -> None:
-        print(f"  {'ok' if ok else 'FAIL'}: {label}")
-        if not ok:
-            failures.append(label)
-
-    def fresh() -> Database:
-        db = Database(page_size=512, memory_bytes=24 * 512)
-        db.create_table(
-            TableSchema.of(
-                "R", [Attribute.int_("A"), Attribute.char("PAD", 20)]
-            ),
-            engine="lsm",
-            lsm_config=LsmConfig(
-                memtable_entries=8, l0_runs=2, run_pages=2,
-                level_runs=2, fanout=2,
-                tombstone_density_trigger=0.2, tombstone_age_seqs=64,
-                max_delete_compactions=4,
-            ),
-        )
-        return db
-
-    def tree_of(db: Database) -> LsmTree:
-        tree = db.table("R").lsm
-        assert tree is not None
-        return tree
-
-    # 1. Inserts through the log path are visible from the memtable,
-    #    across flushes, and survive overwrites (last write wins).
-    db = fresh()
-    model = {}
-    for a in range(40):
-        db.insert("R", (a, f"row{a}"))
-        model[a] = (a, f"row{a}")
-    db.insert("R", (7, "seven"))
-    model[7] = (7, "seven")
-    check(
-        "inserts + overwrite visible across memtable flushes",
-        dict(db.scan("R")) == model
-        and tree_of(db).run_count > 0,
-    )
-
-    # 2. Point and range deletes hide rows exactly, scan == dict model.
-    for a in (3, 11, 39):
-        tree_of(db).delete(a)
-        model.pop(a)
-    tree_of(db).delete_range(20, 29)
-    for a in range(20, 30):
-        model.pop(a, None)
-    check(
-        "point + range tombstones hide exactly the targeted rows",
-        dict(db.scan("R")) == model,
-    )
-
-    # 3. Flush + compaction preserve the visible state and eventually
-    #    drop every tombstone without resurrecting a row.
-    tree = tree_of(db)
-    tree.flush_memtable()
-    tree.compact_all()
-    check(
-        "compact_all drops every tombstone, resurrects nothing",
-        dict(db.scan("R")) == model and tree.tombstone_count == 0,
-    )
-
-    # 4. choose_plan dispatches LSM tables to an exact tombstone plan.
-    db = fresh()
-    db.load_table("R", [(a, f"row{a}") for a in range(64)])
-    keys = list(range(16, 36)) + list(range(40, 64, 2))
-    plan = choose_plan(db, "R", "A", keys)
-    check(
-        "choose_plan returns an exact LsmDeletePlan",
-        isinstance(plan, LsmDeletePlan)
-        and plan.range_tombstones == 1
-        and plan.point_tombstones == 12,
-    )
-
-    # 5. The executed delete reconciles with its plan and the model.
-    result = lsm_bulk_delete(db, "R", "A", keys, plan=plan)
-    survivors = {a: (a, f"row{a}") for a in range(64) if a not in set(keys)}
-    check(
-        "lsm_bulk_delete deletes exactly the targeted live rows",
-        result.records_deleted == len(set(keys))
-        and dict(db.scan("R")) == survivors,
-    )
-    check(
-        "executed tombstone mix matches the plan",
-        result.point_tombstones == plan.point_tombstones
-        and result.range_tombstones == plan.range_tombstones,
-    )
-
-    # 6. FADE ran during the delete and dropped tombstones at depth.
-    check(
-        "FADE compactions fired and dropped tombstones",
-        result.compactions > 0 and result.tombstones_dropped > 0,
-    )
-
-    # 7. Recovery from durable state alone is byte-identical, twice.
-    table = db.table("R")
-    assert table.lsm is not None
-    db.pool.invalidate_all()
-    table.lsm = LsmTree.recover(
-        db.pool, table.lsm.handle, config=table.lsm.config, name="R"
-    )
-    once = dict(db.scan("R"))
-    db.pool.invalidate_all()
-    table.lsm = LsmTree.recover(
-        db.pool, table.lsm.handle, config=table.lsm.config, name="R"
-    )
-    check(
-        "recovery is byte-identical and terminal",
-        once == survivors and dict(db.scan("R")) == survivors,
-    )
-
-    # 8. bulk_load lands the same visible state as the log path.
-    loaded = fresh()
-    loaded.load_table("R", [(a, f"row{a}") for a in range(40)])
-    logged = fresh()
-    for a in range(40):
-        logged.insert("R", (a, f"row{a}"))
-    check(
-        "bulk_load state matches the log-path state",
-        dict(loaded.scan("R")) == dict(logged.scan("R")),
-    )
-    check(
-        "bulk_load is cheaper than the log path",
-        loaded.disk.stats.writes < logged.disk.stats.writes,
-    )
-
-    # 9. vacuum compacts to a tombstone-free tree through the facade.
-    stats = db.vacuum("R")
-    check(
-        "vacuum reports compactions and leaves zero tombstones",
-        "lsm_compactions" in stats
-        and tree_of(db).tombstone_count == 0
-        and dict(db.scan("R")) == survivors,
-    )
-
-    status = "ok" if not failures else f"{len(failures)} failure(s)"
-    print(f"lsm selfcheck: {status}")
-    return 0 if not failures else 1
-
-
 def _cmd_scrub(args: argparse.Namespace) -> int:
     from repro.faults.sweep import SweepScenario
     from repro.media import scrub_database
 
-    scenario = dataclasses.replace(SweepScenario(), records=args.records)
-    if args.selfcheck:
-        return _scrub_selfcheck(scenario)
-    case = scenario.build()
+    case = dataclasses.replace(SweepScenario(), records=args.records).build()
     report = scrub_database(case.db)
     print(report.summary())
     return 0 if report.ok else 1
 
 
-def _scrub_selfcheck(scenario) -> int:
-    """Inject known media faults and verify the scrubber end to end."""
-    from repro.errors import QuarantinedPage
-    from repro.faults import STUCK, TRANSIENT, FaultInjector, FaultPlan
-    from repro.media import MediaRecovery, require_scrubbed, scrub_database
-
-    failures: List[str] = []
-
-    def check(label: str, ok: bool) -> None:
-        print(f"  {'ok' if ok else 'FAIL'}: {label}")
-        if not ok:
-            failures.append(label)
-
-    # 1. A clean database scrubs clean, every live page verified.
-    case = scenario.build()
-    db, disk = case.db, case.db.disk
-    report = scrub_database(db)
-    check(
-        "clean database scrubs clean",
-        report.ok and report.pages_checked == len(disk.page_ids()),
-    )
-
-    # 2. Latent corruption is detected even without a media layer ...
-    page = disk.page_ids()[len(disk.page_ids()) // 2]
-    image = disk.durable_image(page)
-    disk.corrupt_page(page, bytes([image[0] ^ 0xFF]) + image[1:])
-    report = scrub_database(db)
-    check(
-        "latent corruption detected (no media layer)",
-        page in report.checksum_failures
-        and page in report.unrepaired
-        and not report.ok,
-    )
-
-    # 3. ... and healed in place with one.
-    media = MediaRecovery(disk, image_sources=[("backup", {page: image}.get)])
-    report = scrub_database(db, media=media)
-    check(
-        "latent corruption healed from a backup image",
-        report.ok and page in report.repaired,
-    )
-    check("healed bytes match the original", disk.durable_image(page) == image)
-
-    # 4. Transient read faults heal by retrying with simulated backoff.
-    case = scenario.build()
-    db, disk = case.db, case.db.disk
-    page = disk.page_ids()[0]
-    injector = FaultInjector(
-        FaultPlan(read_fault=TRANSIENT, read_fault_page=page)
-    )
-    media = MediaRecovery(disk)
-    with injector.armed(disk):
-        report = scrub_database(db, media=media)
-    check(
-        "transient fault healed by retry",
-        report.ok and media.stats.retries == 2,
-    )
-    check(
-        "backoff charged to the simulated clock",
-        media.stats.backoff_ms > 0,
-    )
-
-    # 5. Cross-reconciliation catches structures that drift apart.
-    table = db.table("R")
-    tree = next(iter(table.indexes.values())).tree
-    tree._entry_count += 1
-    report = scrub_database(db)
-    check(
-        "entry-count drift detected by reconciliation",
-        any("entry_count" in problem for problem in report.problems),
-    )
-    tree._entry_count -= 1
-
-    # 6. Stuck bits defeat repair: quarantine + typed abort; replacing
-    #    the medium (restore_page) lifts the fence.
-    case = scenario.build()
-    db, disk = case.db, case.db.disk
-    page = disk.page_ids()[1]
-    backup = {pid: disk.durable_image(pid) for pid in disk.page_ids()}
-    injector = FaultInjector(
-        FaultPlan(read_fault=STUCK, read_fault_page=page)
-    )
-    media = MediaRecovery(disk, image_sources=[("backup", backup.get)])
-    aborted_on: Optional[int] = None
-    with injector.armed(disk):
-        try:
-            require_scrubbed(db, media=media, check_structures=False)
-        except QuarantinedPage as exc:
-            aborted_on = exc.page_id
-    check(
-        "stuck bits abort typed (QuarantinedPage names the page)",
-        aborted_on == page and disk.quarantined == {page},
-    )
-    disk.restore_page(page, backup[page])
-    report = scrub_database(db)
-    check("restore_page lifts the quarantine", report.ok)
-
-    status = "ok" if not failures else f"{len(failures)} failure(s)"
-    print(f"scrub selfcheck: {status}")
-    return 0 if not failures else 1
-
-
 def _cmd_retention(args: argparse.Namespace) -> int:
     from repro.retention import RetentionScenario, audit_erasure
-
-    if args.selfcheck:
-        return _retention_selfcheck()
 
     scenario = RetentionScenario()
     case = scenario.build()
@@ -956,182 +530,6 @@ def _cmd_retention(args: argparse.Namespace) -> int:
     return 0 if audit.ok else 1
 
 
-def _retention_selfcheck() -> int:
-    """End-to-end retention checks on the fixed two-policy scenario."""
-    import copy
-
-    from repro.analysis.plan_lint import lint_retention_plan
-    from repro.errors import IntegrityViolationError
-    from repro.faults import FaultInjector, FaultPlan, SimulatedCrash
-    from repro.faults.sweep import capture_state
-    from repro.retention import (
-        RecoverableRetentionRun,
-        RetentionPolicy,
-        RetentionScenario,
-        audit_erasure,
-        audit_mutation_checks,
-        compile_policy,
-        recover_retention,
-        retention_integrity_problems,
-        retention_media_sweep,
-        retention_sweep,
-    )
-    from repro.retention.sweep import AUDIT_MUTATIONS
-
-    failures: List[str] = []
-
-    def check(label: str, ok: bool) -> None:
-        print(f"  {'ok' if ok else 'FAIL'}: {label}")
-        if not ok:
-            failures.append(label)
-
-    scenario = RetentionScenario()
-
-    # 1. The compiler is deterministic: two independent builds of the
-    #    same scenario produce byte-identical EXPLAIN text.
-    def explains() -> str:
-        case = scenario.build()
-        return "\n\n".join(plan.explain() for plan in case.compile())
-
-    check("policy compiler is deterministic", explains() == explains())
-
-    # 2. A clean run erases everything: zero-finding audit, internal
-    #    consistency, and a terminal recovery (nothing left to resume).
-    case = scenario.build()
-    plans = case.compile()
-    report = RecoverableRetentionRun(
-        case.db, plans, case.log, full_page_writes=True,
-    ).run()
-    check(
-        "clean run deletes and nulls records",
-        report.records_deleted > 0 and report.records_nulled > 0,
-    )
-    audit = audit_erasure(case.db, case.log, case.witness(plans))
-    check("clean run passes the unrecoverability audit", audit.ok)
-    check(
-        "post-run state is internally consistent",
-        not retention_integrity_problems(
-            case.db, case.registry, case.victims
-        ),
-    )
-    check(
-        "recovery after a complete run is terminal",
-        not recover_retention(case.db, case.log).resumed,
-    )
-    oracle = capture_state(case.db)
-
-    # 3. Resume from a representative mid-run crash point.
-    counter = FaultInjector()
-    probe = scenario.build()
-    RecoverableRetentionRun(
-        probe.db, probe.compile(), probe.log,
-        faults=counter, full_page_writes=True,
-    ).run()
-    midpoint = counter.durable_event_count // 2
-    case = scenario.build()
-    plans = case.compile()
-    crashed = False
-    try:
-        RecoverableRetentionRun(
-            case.db, plans, case.log,
-            faults=FaultInjector(FaultPlan(crash_after_event=midpoint)),
-            full_page_writes=True,
-        ).run()
-    except SimulatedCrash:
-        crashed = True
-    recovery = recover_retention(case.db, case.log, full_page_writes=True)
-    check(
-        "mid-run crash resumes to the oracle state",
-        crashed
-        and recovery.resumed
-        and capture_state(case.db) == oracle,
-    )
-    check(
-        "resumed run passes the audit",
-        audit_erasure(case.db, case.log, case.witness(plans)).ok,
-    )
-
-    # 4. A RESTRICT violation aborts at compile time, pre-durable.
-    case = scenario.build()
-    before = capture_state(case.db)
-    uid_idx = case.db.table("users").schema.column_index("UID")
-    survivor = next(
-        values[uid_idx]
-        for _, values in case.db.scan("users")
-        if values[uid_idx] not in set(case.victims)
-    )
-    restricted = RetentionPolicy(
-        "restricted", "users", "UID", subject_keys=(survivor,),
-    )
-    aborted = False
-    try:
-        compile_policy(case.db, case.registry, restricted)
-    except IntegrityViolationError:
-        aborted = True
-    check(
-        "RESTRICT aborts at compile time with nothing durable",
-        aborted and capture_state(case.db) == before,
-    )
-
-    # 5. The coverage lint: clean plans lint clean; a dropped node is
-    #    a coverage hole the linter must flag.
-    case = scenario.build()
-    plans = case.compile()
-    check(
-        "retention plans lint clean",
-        all(not lint_retention_plan(p, db=case.db) for p in plans),
-    )
-    broken = copy.deepcopy(plans[0])
-    broken.nodes = broken.nodes[1:]
-    check(
-        "lint flags a dropped DAG node",
-        bool(lint_retention_plan(broken, db=case.db)),
-    )
-
-    # 6. The audit is not vacuously green: planted traces are caught.
-    mutation_failures = audit_mutation_checks(scenario)
-    check(
-        f"audit mutation checks ({len(AUDIT_MUTATIONS)} planted traces)",
-        not mutation_failures,
-    )
-    for failure in mutation_failures:
-        print(f"    {failure}")
-
-    # 7. Bounded crash + media sweeps (the CI-sized versions of
-    #    `faultsweep --retention`).
-    crash_report = retention_sweep(scenario, max_points=6)
-    check(
-        f"bounded crash sweep ({len(crash_report.points)} points)",
-        crash_report.ok,
-    )
-    media_report = retention_media_sweep(scenario, max_points=4)
-    check(
-        f"bounded media sweep ({len(media_report.pages)} pages)",
-        media_report.ok,
-    )
-
-    status = "ok" if not failures else f"{len(failures)} failure(s)"
-    print(f"retention selfcheck: {status}")
-    return 0 if not failures else 1
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.__main__ import main as analysis_main
-
-    argv: List[str] = ["--format", args.format]
-    if args.root:
-        argv += ["--root", args.root]
-    if args.skip_code:
-        argv.append("--skip-code")
-    if args.skip_plans:
-        argv.append("--skip-plans")
-    if args.skip_effects:
-        argv.append("--skip-effects")
-    if args.strict:
-        argv.append("--strict")
-    return analysis_main(argv)
-
-
 def _cmd_effects(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -1139,13 +537,7 @@ def _cmd_effects(args: argparse.Namespace) -> int:
     from repro.analysis.effects import analyze_effects
     from repro.analysis.findings import Severity, render_findings
 
-    root = Path(args.root) if args.root else default_root()
-    # The checked-in baseline describes the repro tree; a custom root
-    # runs against an empty baseline (see analysis/__main__.py).
-    if root == default_root():
-        report = analyze_effects(root)
-    else:
-        report = analyze_effects(root, baseline=())
+    report = analyze_effects(Path(args.root) if args.root else default_root())
     if args.dot:
         try:
             print(report.graph.to_dot())
@@ -1187,7 +579,9 @@ def _cmd_effects(args: argparse.Namespace) -> int:
     return 1 if errors else 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser (``lint``/``analysis`` take the
+    arguments of ``python -m repro.analysis`` unparsed; see :func:`main`)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Efficient Bulk Deletes in Relational Databases "
@@ -1202,8 +596,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sql.set_defaults(func=_cmd_sql)
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper figure")
-    p_exp.add_argument("name", help="figure_1|figure_7|figure_8|table_1|"
-                                    "figure_9|figure_10|all")
+    p_exp.add_argument("name", help="|".join([*ALL_EXPERIMENTS, "all"]))
     p_exp.add_argument("--records", type=int, default=8000)
     p_exp.add_argument("--plot", action="store_true",
                        help="draw an ASCII chart of the series")
@@ -1252,11 +645,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fraction of records the delete removes")
     p_oltp.add_argument("--chunk-rows", type=int, default=64,
                         help="rows per chunk for the chunked strategy")
-    p_oltp.add_argument("--selfcheck", action="store_true",
-                        help="run both strategies on a fixed small "
-                        "scenario and assert the methodology's "
-                        "invariants (exact reconciliation, side-file "
-                        "beating chunked on p99)")
     p_oltp.set_defaults(func=_cmd_oltp)
 
     p_sweep = sub.add_parser(
@@ -1330,11 +718,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_shard.add_argument("--lanes", type=int, default=2,
                          help="dedicated lanes for the shard region "
                          "(1 = the exact serial code path)")
-    p_shard.add_argument("--selfcheck", action="store_true",
-                         help="assert the sharding invariants on fixed "
-                         "scenarios: exact-once routing, 1-shard "
-                         "bit-identity, lane speedup, exact rollup "
-                         "reconciliation, hot-range taming")
     p_shard.set_defaults(func=_cmd_shard)
 
     p_lsm = sub.add_parser(
@@ -1346,11 +729,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="rows bulk-loaded into the LSM table")
     p_lsm.add_argument("--fraction", type=float, default=0.15,
                        help="fraction of records to delete")
-    p_lsm.add_argument("--selfcheck", action="store_true",
-                       help="exercise the engine on fixed tiny "
-                       "scenarios: visibility, tombstone semantics, "
-                       "compaction invariants, planner dispatch, "
-                       "FADE, recovery, bulk load, vacuum")
     p_lsm.set_defaults(func=_cmd_lsm)
 
     p_media = sub.add_parser(
@@ -1376,9 +754,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_scrub.add_argument("--records", type=int, default=48,
                          help="rows in the scrubbed scenario")
-    p_scrub.add_argument("--selfcheck", action="store_true",
-                         help="inject known media faults and verify "
-                         "detection, healing, and quarantine")
     p_scrub.set_defaults(func=_cmd_scrub)
 
     p_ret = sub.add_parser(
@@ -1387,29 +762,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "cascading multi-engine delete DAG, run it crash-resumably, "
         "erase every trace, and audit unrecoverability",
     )
-    p_ret.add_argument("--selfcheck", action="store_true",
-                       help="verify the subsystem end to end: compiler "
-                       "determinism, clean run + zero-finding audit, "
-                       "mid-run crash resume, RESTRICT abort, coverage "
-                       "lint, audit mutation tests, bounded sweeps")
     p_ret.set_defaults(func=_cmd_retention)
 
     for lint_name in ("lint", "analysis"):
-        p_lint = sub.add_parser(
-            lint_name,
-            help="run the static checkers (plan linter + code lint)",
+        # No add_help: ``repro lint -h`` prints the gate's own help.
+        sub.add_parser(
+            lint_name, add_help=False,
+            help="run the static checkers (plan linter + code lint + "
+            "effect engine); takes the arguments of "
+            "`python -m repro.analysis`",
         )
-        p_lint.add_argument("--format", choices=("text", "json"),
-                            default="text")
-        p_lint.add_argument("--root", default=None,
-                            help="package dir to code-lint (default: "
-                            "the installed repro package)")
-        p_lint.add_argument("--skip-code", action="store_true")
-        p_lint.add_argument("--skip-plans", action="store_true")
-        p_lint.add_argument("--skip-effects", action="store_true")
-        p_lint.add_argument("--strict", action="store_true",
-                            help="fail on warnings too")
-        p_lint.set_defaults(func=_cmd_lint)
 
     p_eff = sub.add_parser(
         "effects",
@@ -1426,7 +788,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                        "GraphViz instead of checking")
     p_eff.set_defaults(func=_cmd_effects)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command in ("lint", "analysis"):
+        from repro.analysis.__main__ import main as analysis_main
+
+        return analysis_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

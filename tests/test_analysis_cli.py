@@ -98,3 +98,8 @@ def test_repro_lint_subcommand(tmp_path, capsys):
     ) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["errors"] >= 3
+    # Every flag of the gate passes through, --also-lint included.
+    assert cli_main(
+        ["lint", "--skip-plans", "--skip-effects", "--also-lint", str(root)]
+    ) == 1
+    assert "code/wall-clock" in capsys.readouterr().out

@@ -3,12 +3,19 @@
 Runs ``tools/check_doc_links.py`` over every root-level and ``docs/``
 markdown file. A renamed document, a deleted figure report or a
 misspelled ``#anchor`` fails here (and in CI) instead of shipping as a
-dead link.
+dead link.  The same file set's fenced ``python -m repro ...`` commands
+must parse against the CLI, so a removed command or flag cannot
+outlive its documentation.
 """
 
 import importlib.util
+import re
+import shlex
 import sys
 from pathlib import Path
+
+from repro.analysis import __main__ as analysis_cli
+from repro.cli import build_parser
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
@@ -69,3 +76,85 @@ def test_github_slug_rules():
     assert slug("Contention: `dedicated` vs `shared`") == (
         "contention-dedicated-vs-shared"
     )
+
+
+# ----------------------------------------------------------------------
+# documented commands parse against the CLI
+# ----------------------------------------------------------------------
+_COMMAND = re.compile(r"python -m (repro(?:\.analysis)?)(?=\s|$)(.*)")
+_SHELL_OPERATOR = re.compile(r"^(\||&&|;|\d?>)")
+
+
+def documented_commands(path):
+    """``(where, module, argv)`` of each ``python -m repro`` or
+    ``python -m repro.analysis`` command in a fenced block of ``path``.
+    ``[...]`` marks optional flags, which are taken as given."""
+    text = path.read_text()
+    unfenced = {n for n, _ in check_doc_links._unfenced_lines(text)}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        match = _COMMAND.search(line)
+        if match is None or lineno in unfenced:
+            continue
+        argv = []
+        for word in shlex.split(
+            re.sub(r"[\[\]]", " ", match.group(2)), comments=True
+        ):
+            if _SHELL_OPERATOR.match(word):
+                break
+            argv.append(word)
+        yield f"{path.name}:{lineno}", match.group(1), argv
+
+
+def parses(module, argv):
+    """Whether ``python -m <module> <argv>`` gets past argument parsing."""
+    try:
+        if module == "repro":
+            args, rest = build_parser().parse_known_args(argv)
+            if args.command not in ("lint", "analysis"):
+                return not rest
+            argv = rest  # the gate's own flags, passed through
+        analysis_cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return not exc.code
+    return True
+
+
+def unparsable(commands):
+    return [
+        f"{where}: python -m {module} {' '.join(argv)}"
+        for where, module, argv in commands
+        if not parses(module, argv)
+    ]
+
+
+def test_documented_commands_parse(capsys):
+    files = check_doc_links.doc_files() + [
+        REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+    ]
+    commands = [c for path in files for c in documented_commands(path)]
+    assert len(commands) > 20
+    assert unparsable(commands) == []
+
+
+def test_command_check_catches_stale_commands(tmp_path, capsys):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "python -m repro lsm --selfcheck\n"  # outside a fence: ignored
+        "```\n"
+        "$ python -m repro demo --records 20  # fine\n"
+        "$ python -m repro lint --also-lint tools | tee out.txt\n"
+        "$ python -m repro faultsweep [--max-points 25]\n"
+        "$ python -m repro.obs.schema traces.json\n"
+        "$ python -m repro recover ... (scrub=True)\n"
+        "$ python -m repro lsm --selfcheck\n"
+        "$ python -m repro lint --bogus\n"
+        "```\n",
+        encoding="utf-8",
+    )
+    commands = list(documented_commands(doc))
+    assert [where for where, _, _ in commands] == [
+        f"doc.md:{n}" for n in (3, 4, 5, 7, 8, 9)
+    ]
+    assert [b.split(":")[1] for b in unparsable(commands)] == [
+        "7", "8", "9",
+    ]

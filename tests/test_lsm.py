@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Attribute, Database, TableSchema
+from repro.core.planner import choose_plan
 from repro.errors import CatalogError, PlanningError, StorageError
 from repro.lsm import (
     LsmConfig,
@@ -22,7 +23,11 @@ from repro.lsm import (
     choose_lsm_plan,
     lsm_bulk_delete,
 )
-from repro.lsm.planning import RANGE_COMPILE_MIN, compile_tombstones
+from repro.lsm.planning import (
+    RANGE_COMPILE_MIN,
+    LsmDeletePlan,
+    compile_tombstones,
+)
 from repro.lsm.sstable import build_run, run_get, run_iter
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
@@ -360,20 +365,39 @@ def test_lsm_plan_requires_the_key_column():
     assert "range" in plan.explain()
 
 
-def test_lsm_bulk_delete_reconciles_with_vacuum():
+@pytest.mark.parametrize("rows, keys, points, fade", [
+    (40, list(range(8, 28)) + [30, 35], 2, False),
+    # Enough tombstones that FADE compacts during the delete itself.
+    (64, list(range(16, 36)) + list(range(40, 64, 2)), 12, True),
+], ids=["40-rows", "64-rows-fade"])
+def test_lsm_bulk_delete_reconciles_with_vacuum(rows, keys, points, fade):
     db = make_db()
-    db.load_table("R", [(a, f"row{a}") for a in range(40)])
-    keys = list(range(8, 28)) + [30, 35]
-    result = lsm_bulk_delete(db, "R", "A", keys)
+    db.load_table("R", [(a, f"row{a}") for a in range(rows)])
+    plan = choose_plan(db, "R", "A", keys)
+    assert isinstance(plan, LsmDeletePlan)
+    assert (plan.range_tombstones, plan.point_tombstones) == (1, points)
+    result = lsm_bulk_delete(db, "R", "A", keys, plan=plan)
     assert result.records_deleted == len(set(keys))
-    assert result.range_tombstones == 1
+    assert result.range_tombstones == plan.range_tombstones
+    assert result.point_tombstones == plan.point_tombstones
+    assert (result.compactions > 0 and result.tombstones_dropped > 0) == fade
     survivors = {a for a, _ in db.scan("R")}
-    assert survivors == set(range(40)) - set(keys)
+    assert survivors == set(range(rows)) - set(keys)
     stats = db.vacuum("R")
     assert stats["lsm_data_pages"] > 0
     tree = db.table("R").lsm
     assert tree is not None and tree.tombstone_count == 0
     assert {a for a, _ in db.scan("R")} == survivors
+
+
+def test_load_table_matches_the_insert_path_with_fewer_writes():
+    rows = [(a, f"row{a}") for a in range(40)]
+    loaded, logged = make_db(), make_db()
+    loaded.load_table("R", rows)
+    for row in rows:
+        logged.insert("R", row)
+    assert dict(loaded.scan("R")) == dict(logged.scan("R"))
+    assert loaded.disk.stats.writes < logged.disk.stats.writes
 
 
 def test_lsm_page_write_accounting_is_exact():

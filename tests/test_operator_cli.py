@@ -1,8 +1,14 @@
 """Tests for the logical operator DAG and the CLI."""
 
+import inspect
+import typing
+
 import pytest
 
 from repro import Database
+from repro.bench import experiments
+from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.bench.harness import Series
 from repro.cli import main as cli_main
 from repro.core.operator import OpNode, build_dag, render_plan_dag
 from repro.core.planner import choose_plan
@@ -98,3 +104,27 @@ def test_cli_demo(capsys):
     out = capsys.readouterr().out
     assert "speedup" in out
     assert "bd[sort-merge]" in out
+
+
+def test_every_experiment_function_is_registered():
+    """``experiment <name>`` and ``experiment all`` reach every figure."""
+    functions = {
+        name: fn
+        for name, fn in inspect.getmembers(experiments, inspect.isfunction)
+        if fn.__module__ == experiments.__name__
+        and name.startswith(("figure_", "fig_", "table_"))
+        and typing.get_type_hints(fn).get("return") is Series
+    }
+    assert "fig_retention_overhead" in functions
+    assert ALL_EXPERIMENTS == functions
+
+
+@pytest.mark.parametrize("argv", [
+    "lsm --records 200",
+    "shard --records 400",
+    "oltp --records 400 --sessions 3 --ops 10",
+    "scrub --records 24",
+])
+def test_cli_subsystem_demos_run_small(argv, capsys):
+    assert cli_main(argv.split()) == 0
+    assert capsys.readouterr().out

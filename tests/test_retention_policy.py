@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro import Attribute, Database, TableSchema
+from repro.analysis.plan_lint import lint_retention_plan
 from repro.core.integrity import ConstraintRegistry, OnDelete
 from repro.errors import IntegrityViolationError, PlanningError
 from repro.faults.sweep import capture_state
@@ -112,6 +113,21 @@ def test_clean_restrict_tables_are_excluded_from_coverage():
     order = [node.table for node in plan.nodes]
     assert order.index("orders") < order.index("users")
     assert order.index("events") < order.index("users")
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda nodes: nodes[1:],  # a table left uncovered
+    lambda nodes: nodes + nodes[:1],  # a table covered twice
+], ids=["dropped-node", "duplicated-node"])
+def test_retention_coverage_lint(mutate):
+    case = RetentionScenario().build()
+    plans = case.compile()
+    assert all(lint_retention_plan(p, db=case.db) == [] for p in plans)
+    broken = plans[0]
+    broken.nodes = mutate(list(broken.nodes))
+    assert "plan/retention-coverage" in {
+        f.rule_id for f in lint_retention_plan(broken, db=case.db)
+    }
 
 
 def test_cascade_cycle_is_rejected():
