@@ -13,8 +13,17 @@ cost of wall-clock time).
 
 import os
 import pathlib
+from typing import Dict, Optional, Sequence
 
 import pytest
+
+from repro.bench.harness import Series
+from repro.bench.plots import render_series
+from repro.bench.report import (
+    operator_breakdown,
+    paper_vs_measured,
+    shape_checks,
+)
 
 RECORDS = int(os.environ.get("REPRO_BENCH_RECORDS", "8000"))
 
@@ -29,6 +38,21 @@ def emit_report(name: str, text: str) -> None:
     (_REPORT_DIR / f"{name}.txt").write_text(text + "\n")
 
 
-@pytest.fixture
+def emit_paper_report(
+    name: str,
+    series: Series,
+    paper_minutes: Dict[str, Sequence[float]],
+    label_map: Optional[Dict[str, str]] = None,
+) -> None:
+    """A paper figure's report: paper vs measured, the chart, the shape
+    checks and the per-operator breakdown of the last point."""
+    report = paper_vs_measured(series, paper_minutes, label_map=label_map)
+    report += "\n\n" + render_series(series)
+    report += "\n" + "\n".join(shape_checks(series))
+    report += "\n\n" + operator_breakdown(series)
+    emit_report(name, report)
+
+
+@pytest.fixture(scope="session")
 def records() -> int:
     return RECORDS

@@ -16,24 +16,33 @@ from benchmarks.conftest import emit_report
 from repro.bench.harness import Series, run_approach
 from repro.bench.report import format_table, operator_breakdown
 from repro.btree.maintenance import merge_underfull_leaves, validate_tree
-from repro.core.executor import BulkDeleteOptions
+from repro.core.executor import BulkDeleteOptions, bulk_delete
 from repro.workload.generator import WorkloadConfig, build_workload
 
 
-def _config(records):
-    return WorkloadConfig(record_count=records, index_columns=("A", "B"))
+@pytest.fixture(scope="module")
+def template(records):
+    """The two-index table every B-tree ablation run forks."""
+    return build_workload(
+        WorkloadConfig(record_count=records, index_columns=("A", "B"))
+    )
 
 
-def test_ablation_bd_methods(benchmark, records):
+def _run(template, fraction, approach="bulk", **knobs):
+    return run_approach(
+        approach, template.config, fraction, workload=template.fork(),
+        **knobs,
+    )
+
+
+def test_ablation_bd_methods(benchmark, template):
     """Sort/merge vs hash vs partitioned hash at 15 % deletes."""
 
     def run():
-        rows = {}
-        for approach in ("bulk", "bulk-hash", "bulk-partitioned"):
-            rows[approach] = run_approach(
-                approach, _config(records), 0.15, observe=True
-            )
-        return rows
+        return {
+            approach: _run(template, 0.15, approach, observe=True)
+            for approach in ("bulk", "bulk-hash", "bulk-partitioned")
+        }
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     minutes = {k: [v.scaled_minutes] for k, v in rows.items()}
@@ -55,15 +64,14 @@ def test_ablation_bd_methods(benchmark, records):
     assert len({v.records_deleted for v in rows.values()}) == 1
 
 
-def test_ablation_leaf_compaction(benchmark, records):
+def test_ablation_leaf_compaction(benchmark, template):
     """§2.3: compacting leaves during the sweep costs little and frees
     pages; skipping it leaves the tree sparse."""
 
     def run():
-        plain = run_approach("bulk", _config(records), 0.5)
-        compact = run_approach(
-            "bulk", _config(records), 0.5,
-            options=BulkDeleteOptions(compact_leaves=True),
+        plain = _run(template, 0.5)
+        compact = _run(
+            template, 0.5, options=BulkDeleteOptions(compact_leaves=True)
         )
         return plain, compact
 
@@ -81,14 +89,13 @@ def test_ablation_leaf_compaction(benchmark, records):
     assert compact.sim_seconds < plain.sim_seconds * 1.6
 
 
-def test_ablation_base_node_reorg(benchmark, records):
+def test_ablation_base_node_reorg(benchmark, template):
     """On-the-fly inner maintenance vs layer-by-layer rebuild."""
 
     def run():
-        rebuild = run_approach("bulk", _config(records), 0.15)
-        base = run_approach(
-            "bulk", _config(records), 0.15,
-            options=BulkDeleteOptions(base_node_reorg=True),
+        rebuild = _run(template, 0.15)
+        base = _run(
+            template, 0.15, options=BulkDeleteOptions(base_node_reorg=True)
         )
         return rebuild, base
 
@@ -106,13 +113,12 @@ def test_ablation_base_node_reorg(benchmark, records):
     assert base.sim_seconds < rebuild.sim_seconds * 1.5
 
 
-def test_ablation_free_at_empty_vs_merge(benchmark, records):
+def test_ablation_free_at_empty_vs_merge(benchmark, template):
     """[9]'s free-at-empty vs a merge-at-half pass after the delete."""
 
     def run():
-        wl = build_workload(_config(records))
-        keys = wl.delete_keys(0.5)
-        free_run = run_approach("bulk", _config(records), 0.5, workload=wl)
+        wl = template.fork()
+        free_run = run_approach("bulk", wl.config, 0.5, workload=wl)
         tree = wl.db.table("R").index("I_R_A").tree
         leaves_free_at_empty = tree.leaf_count()
         t0 = wl.db.clock.now_ms
@@ -139,23 +145,18 @@ def test_ablation_free_at_empty_vs_merge(benchmark, records):
     assert after < before
 
 
-def test_ablation_hash_index_drag(benchmark, records):
+def test_ablation_hash_index_drag(benchmark, records, template):
     """§5: "other kinds of indices are updated in the traditional way."
 
     A hash index on B cannot be swept; the vertical plan must fall back
     to per-record maintenance for it, dragging the total back toward
     horizontal cost.  Swapping it for a B-tree restores the flat cost.
     """
-    from repro.bench.harness import run_approach
-    from repro.core.executor import bulk_delete as _unused  # noqa: F401
-    from repro.workload.generator import build_workload
 
     def run():
         results = {}
         # B-tree secondary index: fully vertical.
-        results["btree secondary"] = run_approach(
-            "bulk", _config(records), 0.15
-        ).scaled_minutes
+        results["btree secondary"] = _run(template, 0.15).scaled_minutes
         # Hash secondary index: same data, traditional-way maintenance.
         wl = build_workload(
             WorkloadConfig(record_count=records, index_columns=("A",))
@@ -163,8 +164,6 @@ def test_ablation_hash_index_drag(benchmark, records):
         wl.db.create_hash_index("R", "B", name="H_B")
         keys = wl.delete_keys(0.15)
         wl.reset_measurements()
-        from repro.core.executor import bulk_delete
-
         bulk_delete(wl.db, "R", "A", keys, force_vertical=True)
         results["hash secondary"] = (
             wl.db.clock.now_seconds / 60.0 * wl.config.scale_factor

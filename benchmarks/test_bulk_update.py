@@ -16,12 +16,12 @@ from repro.workload.generator import WorkloadConfig, build_workload
 def _run(records):
     fractions = [0.05, 0.15, 0.30]
     rows = {"bulk update": [], "traditional update": []}
+    template = build_workload(
+        WorkloadConfig(record_count=records, index_columns=("A", "B"))
+    )
     for fraction in fractions:
         for label in rows:
-            wl = build_workload(
-                WorkloadConfig(record_count=records,
-                               index_columns=("A", "B"))
-            )
+            wl = template.fork()
             keys = wl.delete_keys(fraction)
             wl.reset_measurements()
             fn = bulk_update if label == "bulk update" else traditional_update

@@ -8,26 +8,16 @@ possible case for the traditional approaches".  Pass criteria:
 the clustered ``not sorted/trad`` remain far worse.
 """
 
-from benchmarks.conftest import emit_report
+from benchmarks.conftest import emit_paper_report
 from repro.bench.experiments import figure_10
 from repro.bench.paper_data import FIG10_MINUTES
-from repro.bench.plots import render_series
-from repro.bench.report import (
-    operator_breakdown,
-    paper_vs_measured,
-    shape_checks,
-)
 
 
 def test_figure_10(benchmark, records):
     series = benchmark.pedantic(
         figure_10, kwargs={"record_count": records}, rounds=1, iterations=1
     )
-    report = paper_vs_measured(series, FIG10_MINUTES)
-    report += "\n\n" + render_series(series)
-    report += "\n" + "\n".join(shape_checks(series))
-    report += "\n\n" + operator_breakdown(series)
-    emit_report("figure_10", report)
+    emit_paper_report("figure_10", series, FIG10_MINUTES)
 
     clustered = series.scaled_minutes("sorted/trad/clust")
     unclustered = series.scaled_minutes("sorted/trad/unclust")

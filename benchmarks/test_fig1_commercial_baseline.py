@@ -6,31 +6,22 @@ Pass criterion: traditional grows sharply with the fraction, and
 drop & create overtakes it once more than a few percent are deleted.
 """
 
-from benchmarks.conftest import emit_report
+from benchmarks.conftest import emit_paper_report
 from repro.bench.experiments import figure_1
 from repro.bench.paper_data import FIG1_MINUTES, FIG1_PERCENTS
-from repro.bench.plots import render_series
-from repro.bench.report import (
-    operator_breakdown,
-    paper_vs_measured,
-    shape_checks,
-)
 
 
 def test_figure_1(benchmark, records):
     series = benchmark.pedantic(
         figure_1, kwargs={"record_count": records}, rounds=1, iterations=1
     )
-    report = paper_vs_measured(
+    emit_paper_report(
+        "figure_1",
         series,
         {"traditional": FIG1_MINUTES["traditional"],
          "drop&create": FIG1_MINUTES["drop&create"]},
         label_map={"not sorted/trad": "traditional"},
     )
-    report += "\n\n" + render_series(series)
-    report += "\n" + "\n".join(shape_checks(series))
-    report += "\n\n" + operator_breakdown(series)
-    emit_report("figure_1", report)
 
     trad = series.scaled_minutes("not sorted/trad")
     dc = series.scaled_minutes("drop&create")

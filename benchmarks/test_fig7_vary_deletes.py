@@ -6,26 +6,16 @@ criteria: both traditional variants grow ~linearly in the fraction,
 flat and wins everywhere.
 """
 
-from benchmarks.conftest import emit_report
+from benchmarks.conftest import emit_paper_report
 from repro.bench.experiments import figure_7
 from repro.bench.paper_data import FIG7_MINUTES
-from repro.bench.plots import render_series
-from repro.bench.report import (
-    operator_breakdown,
-    paper_vs_measured,
-    shape_checks,
-)
 
 
 def test_figure_7(benchmark, records):
     series = benchmark.pedantic(
         figure_7, kwargs={"record_count": records}, rounds=1, iterations=1
     )
-    report = paper_vs_measured(series, FIG7_MINUTES)
-    report += "\n\n" + render_series(series)
-    report += "\n" + "\n".join(shape_checks(series))
-    report += "\n\n" + operator_breakdown(series)
-    emit_report("figure_7", report)
+    emit_paper_report("figure_7", series, FIG7_MINUTES)
 
     sorted_t = series.scaled_minutes("sorted/trad")
     unsorted_t = series.scaled_minutes("not sorted/trad")

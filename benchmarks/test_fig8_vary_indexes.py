@@ -7,26 +7,16 @@ prototype-style ``drop & create`` (entry-at-a-time index rebuild) does
 not beat the traditional plans, as in the paper's Figure 8.
 """
 
-from benchmarks.conftest import emit_report
+from benchmarks.conftest import emit_paper_report
 from repro.bench.experiments import figure_8
 from repro.bench.paper_data import FIG8_MINUTES
-from repro.bench.plots import render_series
-from repro.bench.report import (
-    operator_breakdown,
-    paper_vs_measured,
-    shape_checks,
-)
 
 
 def test_figure_8(benchmark, records):
     series = benchmark.pedantic(
         figure_8, kwargs={"record_count": records}, rounds=1, iterations=1
     )
-    report = paper_vs_measured(series, FIG8_MINUTES)
-    report += "\n\n" + render_series(series)
-    report += "\n" + "\n".join(shape_checks(series))
-    report += "\n\n" + operator_breakdown(series)
-    emit_report("figure_8", report)
+    emit_paper_report("figure_8", series, FIG8_MINUTES)
 
     sorted_t = series.scaled_minutes("sorted/trad")
     unsorted_t = series.scaled_minutes("not sorted/trad")

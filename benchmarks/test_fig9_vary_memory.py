@@ -6,26 +6,16 @@ with five times more (its sorts fit, its scans are sequential), the
 ordering of the approaches is unchanged at every budget.
 """
 
-from benchmarks.conftest import emit_report
+from benchmarks.conftest import emit_paper_report
 from repro.bench.experiments import figure_9
 from repro.bench.paper_data import FIG9_MINUTES
-from repro.bench.plots import render_series
-from repro.bench.report import (
-    operator_breakdown,
-    paper_vs_measured,
-    shape_checks,
-)
 
 
 def test_figure_9(benchmark, records):
     series = benchmark.pedantic(
         figure_9, kwargs={"record_count": records}, rounds=1, iterations=1
     )
-    report = paper_vs_measured(series, FIG9_MINUTES)
-    report += "\n\n" + render_series(series)
-    report += "\n" + "\n".join(shape_checks(series))
-    report += "\n\n" + operator_breakdown(series)
-    emit_report("figure_9", report)
+    emit_paper_report("figure_9", series, FIG9_MINUTES)
 
     bulk = series.scaled_minutes("bulk")
     unsorted_t = series.scaled_minutes("not sorted/trad")

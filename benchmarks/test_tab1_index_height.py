@@ -6,30 +6,21 @@ height — it never traverses root-to-leaf per record — while the
 ``not sorted`` traditional baseline pays for the extra level.
 """
 
-from benchmarks.conftest import emit_report
+from benchmarks.conftest import emit_paper_report
 from repro.bench.experiments import table_1
 from repro.bench.paper_data import TAB1_MINUTES
-from repro.bench.plots import render_series
-from repro.bench.report import (
-    operator_breakdown,
-    paper_vs_measured,
-    shape_checks,
-)
 
 
 def test_table_1(benchmark, records):
     series = benchmark.pedantic(
         table_1, kwargs={"record_count": records}, rounds=1, iterations=1
     )
-    report = paper_vs_measured(
+    emit_paper_report(
+        "table_1",
         series,
         TAB1_MINUTES,
         label_map={"bulk": "sorted/bulk"},
     )
-    report += "\n\n" + render_series(series)
-    report += "\n" + "\n".join(shape_checks(series))
-    report += "\n\n" + operator_breakdown(series)
-    emit_report("table_1", report)
 
     bulk = series.scaled_minutes("bulk")
     unsorted_t = series.scaled_minutes("not sorted/trad")

@@ -182,12 +182,9 @@ EFFECT_RULES: Dict[str, ContractEntry] = {
             rule_id="effect/wall-clock-confinement",
             scope="",
             forbid=frozenset({"wall_clock"}),
-            exempt=("bench",),
             description=(
                 "Reachability form of code/wall-clock: simulated "
-                "results must not depend on host time; only the "
-                "benchmark harness may read it (to report host-side "
-                "runtimes)."
+                "results must not depend on host time."
             ),
         ),
         ContractEntry(

@@ -129,10 +129,6 @@ DEFAULT_BARRIERS: Dict[str, FrozenSet[str]] = {
     # The scrub gate's QuarantinedPage re-raise is its contract: "you
     # asked for a verified-clean disk and it is not".
     "media.scrub.require_scrubbed": frozenset({"media_error.raise"}),
-    # The bench harness is the sanctioned host-time consumer: it
-    # *reports* wall-clock runtimes, simulated results never depend on
-    # them.
-    "bench.harness.run_approach": frozenset({"wall_clock"}),
     # The retry/repair/quarantine policy layer terminates media faults;
     # its typed aborts (RetriesExhausted, QuarantinedPage) are the
     # sanctioned failure surface for everyone above the pool.

@@ -9,13 +9,21 @@ from repro.bench.experiments import (
     figure_10,
     table_1,
 )
-from repro.bench.harness import APPROACHES, RunResult, Series, run_approach, sweep
+from repro.bench.harness import (
+    APPROACHES,
+    Row,
+    RunResult,
+    Series,
+    run_approach,
+    sweep,
+)
 from repro.bench.plots import render_chart, render_series
 from repro.bench.report import format_table, paper_vs_measured, shape_checks
 
 __all__ = [
     "ALL_EXPERIMENTS",
     "APPROACHES",
+    "Row",
     "RunResult",
     "Series",
     "figure_1",

@@ -9,17 +9,20 @@ records upward.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import copy
+from typing import Dict, List
 
-from repro.bench.harness import RunResult, Series, run_approach, sweep
+from repro.bench.harness import Row, RunResult, Series, run_approach, sweep
 from repro.core.executor import BulkDeleteOptions
-from repro.workload.generator import Workload, WorkloadConfig, build_workload
+from repro.workload.generator import WorkloadConfig, build_workload
 
 DEFAULT_RECORDS = 20_000
 
+#: The three plans Experiments 1-4 compare, in report column order.
+TRAD_AND_BULK = ("sorted/trad", "not sorted/trad", "bulk")
 
-def figure_1(record_count: int = DEFAULT_RECORDS,
-             observe: bool = True) -> Series:
+
+def figure_1(record_count: int = DEFAULT_RECORDS) -> Series:
     """Intro figure: commercial RDBMS behaviour, 3 indexes, 1-15 %.
 
     The "commercial product" is approximated by the traditional
@@ -27,111 +30,87 @@ def figure_1(record_count: int = DEFAULT_RECORDS,
     ``not sorted/trad`` roughly corresponds to the studied product) and
     by ``drop & create``.
     """
-    series = Series(
+    config = lambda pct: WorkloadConfig(  # noqa: E731
+        record_count=record_count,
+        index_columns=("A", "B", "C"),
+        memory_paper_mb=10.0,
+    )
+    return sweep(
         title="Figure 1: bulk deletes on a 3-index table (commercial-style)",
         x_label="% deleted",
         x_values=[1, 5, 10, 15],
+        rows={
+            "not sorted/trad": Row("not sorted/trad", config),
+            # A commercial system creates indexes efficiently (sort +
+            # bulk load); the prototype-style "insert" rebuild is
+            # Figure 8's story.
+            "drop&create": Row(
+                "drop&create", config, dc_create_method="bulk"
+            ),
+        },
+        make_fraction=lambda pct: pct / 100.0,
     )
-    series.rows = {"not sorted/trad": [], "drop&create": []}
-    for pct in series.x_values:
-        config = WorkloadConfig(
-            record_count=record_count,
-            index_columns=("A", "B", "C"),
-            memory_paper_mb=10.0,
-        )
-        series.rows["not sorted/trad"].append(
-            run_approach("not sorted/trad", config, pct / 100.0,
-                         observe=observe)
-        )
-        # A commercial system creates indexes efficiently (sort + bulk
-        # load); the prototype-style "insert" rebuild is Figure 8's story.
-        series.rows["drop&create"].append(
-            run_approach(
-                "drop&create", config, pct / 100.0,
-                dc_create_method="bulk", observe=observe,
-            )
-        )
-    return series
 
 
-def figure_7(record_count: int = DEFAULT_RECORDS,
-             observe: bool = True) -> Series:
+def figure_7(record_count: int = DEFAULT_RECORDS) -> Series:
     """Experiment 1: vary deleted fraction; 1 unclustered index, 5 MB."""
+    config = lambda pct: WorkloadConfig(  # noqa: E731
+        record_count=record_count,
+        index_columns=("A",),
+        memory_paper_mb=5.0,
+    )
     return sweep(
         title="Figure 7: vary deletes, 1 unclustered index, 5 MB memory",
         x_label="% deleted",
         x_values=[5, 10, 15, 20],
-        approaches=["sorted/trad", "not sorted/trad", "bulk"],
-        make_config=lambda pct: WorkloadConfig(
-            record_count=record_count,
-            index_columns=("A",),
-            memory_paper_mb=5.0,
-        ),
+        rows={approach: Row(approach, config) for approach in TRAD_AND_BULK},
         make_fraction=lambda pct: pct / 100.0,
-        observe=observe,
     )
 
 
-def figure_8(record_count: int = DEFAULT_RECORDS,
-             observe: bool = True) -> Series:
-    """Experiment 2: vary number of indexes; 15 % deletes."""
+def figure_8(record_count: int = DEFAULT_RECORDS) -> Series:
+    """Experiment 2: vary number of indexes; 15 % deletes.
+
+    ``drop & create`` rebuilds entry at a time, like the paper's
+    prototype.  Its 1-index point is still defined: there is no
+    secondary index to drop, so it degenerates to sorted/trad.
+    """
     index_sets = {1: ("A",), 2: ("A", "B"), 3: ("A", "B", "C")}
-    series = sweep(
+    config = lambda n: WorkloadConfig(  # noqa: E731
+        record_count=record_count,
+        index_columns=index_sets[n],
+        memory_paper_mb=5.0,
+    )
+    return sweep(
         title="Figure 8: vary indexes, 15% deletes, 5 MB memory",
         x_label="indexes",
         x_values=[1, 2, 3],
-        approaches=["sorted/trad", "not sorted/trad", "bulk"],
-        make_config=lambda n: WorkloadConfig(
-            record_count=record_count,
-            index_columns=index_sets[n],
-            memory_paper_mb=5.0,
-        ),
+        rows={
+            approach: Row(approach, config)
+            for approach in TRAD_AND_BULK + ("drop&create",)
+        },
         make_fraction=lambda n: 0.15,
-        observe=observe,
     )
-    # drop & create needs at least one secondary index to drop, so it
-    # is swept separately (its 1-index point is still defined: there is
-    # simply nothing to drop and it degenerates to sorted/trad).
-    series.rows["drop&create"] = []
-    for n in [1, 2, 3]:
-        config = WorkloadConfig(
-            record_count=record_count,
-            index_columns=index_sets[n],
-            memory_paper_mb=5.0,
-        )
-        series.rows["drop&create"].append(
-            run_approach("drop&create", config, 0.15, observe=observe)
-        )
-    return series
 
 
-def table_1(record_count: int = DEFAULT_RECORDS,
-            observe: bool = True) -> Series:
+def table_1(record_count: int = DEFAULT_RECORDS) -> Series:
     """Experiment 3: index height 3 vs 4; 15 % deletes, 5 MB memory."""
-    series = Series(
+    config = lambda height: WorkloadConfig(  # noqa: E731
+        record_count=record_count,
+        index_columns=("A",),
+        memory_paper_mb=5.0,
+        index_height=height,
+    )
+    return sweep(
         title="Table 1: vary index height, 1 unclustered index, 15% deletes",
         x_label="height",
         x_values=[3, 4],
+        rows={approach: Row(approach, config) for approach in TRAD_AND_BULK},
+        make_fraction=lambda height: 0.15,
     )
-    approaches = ["sorted/trad", "not sorted/trad", "bulk"]
-    for approach in approaches:
-        series.rows[approach] = []
-    for height in [3, 4]:
-        config = WorkloadConfig(
-            record_count=record_count,
-            index_columns=("A",),
-            memory_paper_mb=5.0,
-            index_height=height,
-        )
-        for approach in approaches:
-            series.rows[approach].append(
-                run_approach(approach, config, 0.15, observe=observe)
-            )
-    return series
 
 
-def figure_9(record_count: int = DEFAULT_RECORDS,
-             observe: bool = True) -> Series:
+def figure_9(record_count: int = DEFAULT_RECORDS) -> Series:
     """Experiment 4: vary main memory; 1 unclustered index, 15 %.
 
     The workload is run at twice the base scale with a lower memory
@@ -140,70 +119,49 @@ def figure_9(record_count: int = DEFAULT_RECORDS,
     to the same pool size and flatten the one curve this experiment is
     about.
     """
+    config = lambda mb: WorkloadConfig(  # noqa: E731
+        record_count=record_count * 2,
+        index_columns=("A",),
+        memory_paper_mb=float(mb),
+        memory_floor_pages=8,
+    )
     return sweep(
         title="Figure 9: vary memory, 1 unclustered index, 15% deletes",
         x_label="memory (paper MB)",
         x_values=[2, 6, 10],
-        approaches=["sorted/trad", "not sorted/trad", "bulk"],
-        make_config=lambda mb: WorkloadConfig(
-            record_count=record_count * 2,
-            index_columns=("A",),
-            memory_paper_mb=float(mb),
-            memory_floor_pages=8,
-        ),
+        rows={approach: Row(approach, config) for approach in TRAD_AND_BULK},
         make_fraction=lambda mb: 0.15,
-        observe=observe,
     )
 
 
-def figure_10(record_count: int = DEFAULT_RECORDS,
-              observe: bool = True) -> Series:
+def figure_10(record_count: int = DEFAULT_RECORDS) -> Series:
     """Experiment 5: clustered index I_A; vary deleted fraction."""
-    series = Series(
-        title="Figure 10: clustered index, 1 index, 5 MB memory",
-        x_label="% deleted",
-        x_values=[6, 10, 15, 20],
-    )
-    clustered = lambda: WorkloadConfig(  # noqa: E731
+    clustered = lambda pct: WorkloadConfig(  # noqa: E731
         record_count=record_count,
         index_columns=("A",),
         memory_paper_mb=5.0,
         clustered_on="A",
     )
-    unclustered = lambda: WorkloadConfig(  # noqa: E731
+    unclustered = lambda pct: WorkloadConfig(  # noqa: E731
         record_count=record_count,
         index_columns=("A",),
         memory_paper_mb=5.0,
     )
-    series.rows = {
-        "sorted/trad/clust": [],
-        "sorted/trad/unclust": [],
-        "not sorted/trad/clust": [],
-        "bulk": [],
-    }
-    for pct in series.x_values:
-        fraction = pct / 100.0
-        series.rows["sorted/trad/clust"].append(
-            run_approach("sorted/trad", clustered(), fraction,
-                         observe=observe)
-        )
-        series.rows["sorted/trad/unclust"].append(
-            run_approach("sorted/trad", unclustered(), fraction,
-                         observe=observe)
-        )
-        series.rows["not sorted/trad/clust"].append(
-            run_approach("not sorted/trad", clustered(), fraction,
-                         observe=observe)
-        )
-        series.rows["bulk"].append(
-            run_approach("bulk", clustered(), fraction,
-                         observe=observe)
-        )
-    return series
+    return sweep(
+        title="Figure 10: clustered index, 1 index, 5 MB memory",
+        x_label="% deleted",
+        x_values=[6, 10, 15, 20],
+        rows={
+            "sorted/trad/clust": Row("sorted/trad", clustered),
+            "sorted/trad/unclust": Row("sorted/trad", unclustered),
+            "not sorted/trad/clust": Row("not sorted/trad", clustered),
+            "bulk": Row("bulk", clustered),
+        },
+        make_fraction=lambda pct: pct / 100.0,
+    )
 
 
-def fig_parallel_speedup(record_count: int = DEFAULT_RECORDS,
-                         observe: bool = True) -> Series:
+def fig_parallel_speedup(record_count: int = DEFAULT_RECORDS) -> Series:
     """Extension: multi-lane execution of the Figure 8 four-index plan.
 
     The workload indexes five columns (A drives the delete; B, C, D2
@@ -215,34 +173,30 @@ def fig_parallel_speedup(record_count: int = DEFAULT_RECORDS,
     speedup); ``shared`` lanes interleave on one device, losing every
     sequentiality discount — slower than not parallelizing at all.
     """
-    series = Series(
+    config = lambda lanes: WorkloadConfig(  # noqa: E731
+        record_count=record_count,
+        index_columns=("A", "B", "C", "D2", "E"),
+        memory_paper_mb=5.0,
+    )
+    return sweep(
         title="Parallel speedup: 4 post-table branches, 15% deletes, "
         "dedicated vs shared lanes",
         x_label="lanes",
         x_values=[1, 2, 4],
+        rows={
+            contention: Row(
+                "bulk", config,
+                make_options=lambda lanes, contention=contention: (
+                    BulkDeleteOptions(lanes=lanes, contention=contention)
+                ),
+            )
+            for contention in ("dedicated", "shared")
+        },
+        make_fraction=lambda lanes: 0.15,
     )
-    series.rows = {"dedicated": [], "shared": []}
-    for lanes in series.x_values:
-        for contention in ("dedicated", "shared"):
-            config = WorkloadConfig(
-                record_count=record_count,
-                index_columns=("A", "B", "C", "D2", "E"),
-                memory_paper_mb=5.0,
-            )
-            series.rows[contention].append(
-                run_approach(
-                    "bulk", config, 0.15,
-                    options=BulkDeleteOptions(
-                        lanes=lanes, contention=contention
-                    ),
-                    observe=observe,
-                )
-            )
-    return series
 
 
-def fig_scrub_overhead(record_count: int = DEFAULT_RECORDS,
-                       observe: bool = False) -> Series:
+def fig_scrub_overhead(record_count: int = DEFAULT_RECORDS) -> Series:
     """Extension: what the scrubber costs next to the work it protects.
 
     For several table sizes, run the 15 % sort/merge bulk delete and
@@ -309,8 +263,7 @@ def fig_scrub_overhead(record_count: int = DEFAULT_RECORDS,
     return series
 
 
-def fig_retention_overhead(record_count: int = DEFAULT_RECORDS,
-                           observe: bool = False) -> Series:
+def fig_retention_overhead(record_count: int = DEFAULT_RECORDS) -> Series:
     """Extension: the price of *compliant* deletion.
 
     For several subject-population sizes, compare three passes over the
@@ -358,9 +311,12 @@ def fig_retention_overhead(record_count: int = DEFAULT_RECORDS,
         )
 
     for n in sizes:
+        # Both passes run on a fork of one build (the database and the
+        # objects bound to it, as the fault-sweep kernel forks a case).
+        template = scenario(n).build()
         # Pass 1: the unguarded equivalent — FK-aware cascade plus the
         # age expiry, no WAL protocol, no erase, no audit.
-        case = scenario(n).build()
+        case = copy.deepcopy(template)
         base = case.db.clock.now_seconds
         base_io = case.db.disk.stats.snapshot()
         result, report = cascade_bulk_delete(
@@ -384,7 +340,7 @@ def fig_retention_overhead(record_count: int = DEFAULT_RECORDS,
         ))
 
         # Pass 2 + 3: the compliant run, then the adversary's read.
-        case = scenario(n).build()
+        case = copy.deepcopy(template)
         plans = case.compile()
         base = case.db.clock.now_seconds
         base_io = case.db.disk.stats.snapshot()
@@ -431,8 +387,7 @@ def fig_retention_overhead(record_count: int = DEFAULT_RECORDS,
     return series
 
 
-def fig_oltp_interference(record_count: int = DEFAULT_RECORDS,
-                          observe: bool = True) -> Series:
+def fig_oltp_interference(record_count: int = DEFAULT_RECORDS) -> Series:
     """Extension: what live OLTP sessions feel while the delete runs.
 
     Seeded closed-loop traffic (point reads, pad updates, inserts from
@@ -460,11 +415,6 @@ def fig_oltp_interference(record_count: int = DEFAULT_RECORDS,
     ``extra`` carries the exact during-phase percentiles, the stall
     decomposition, and the reconciliation problem count (always 0: the
     histograms, spans and metrics must agree exactly).
-
-    Note on accounting: ``ChunkedDeleteResult.elapsed_ms`` now includes
-    the statement's final flush (it used to stop the clock before it).
-    This figure is unaffected — ``delete_window_ms`` derives from the
-    traffic driver's submit/end timestamps, not the executor's rollup.
     """
     from repro.workload.traffic import run_interference_comparison
 
@@ -483,14 +433,12 @@ def fig_oltp_interference(record_count: int = DEFAULT_RECORDS,
             record_count=record_count,
             sessions=sessions,
             chunk_rows=256,
-            observe=observe,
+            observe=True,
         )
         for name in ("sidefile", "chunked"):
             result = results[name]
             db = result.workload.db
-            problems = (
-                result.reconcile(db.obs) if observe else result.reconcile()
-            )
+            problems = result.reconcile(db.obs)
             during = result.phase_hist("during")
             sim_seconds = db.clock.now_seconds
             series.rows[name].append(RunResult(
@@ -521,8 +469,7 @@ def fig_oltp_interference(record_count: int = DEFAULT_RECORDS,
     return series
 
 
-def fig_shard_scaling(record_count: int = DEFAULT_RECORDS,
-                      observe: bool = True) -> Series:
+def fig_shard_scaling(record_count: int = DEFAULT_RECORDS) -> Series:
     """Extension: range-sharded delete throughput vs dedicated lanes.
 
     The workload is range-sharded on the driving column A into four
@@ -549,24 +496,24 @@ def fig_shard_scaling(record_count: int = DEFAULT_RECORDS,
         x_values=[1, 2, 4],
     )
     series.rows = {"sharded": []}
+    config = WorkloadConfig(
+        record_count=record_count,
+        index_columns=("A",),
+        memory_paper_mb=5.0,
+    )
+    template = build_sharded_workload(config, shards=4)
+    keys = template.delete_keys(0.15)
     for lanes in series.x_values:
-        config = WorkloadConfig(
-            record_count=record_count,
-            index_columns=("A",),
-            memory_paper_mb=5.0,
-        )
-        wl = build_sharded_workload(config, shards=4)
-        keys = wl.delete_keys(0.15)
+        wl = template.fork()
         wl.reset_measurements()
         db = wl.db
-        observer = db.observe() if observe else None
+        db.observe()
         try:
             result = sharded_bulk_delete(
                 db, "R", "A", keys, lanes=lanes, contention="dedicated"
             )
         finally:
-            if observer is not None:
-                db.unobserve()
+            db.unobserve()
         problems = result.reconciliation_problems()
         if problems:
             raise RuntimeError(
@@ -592,8 +539,7 @@ def fig_shard_scaling(record_count: int = DEFAULT_RECORDS,
     return series
 
 
-def fig_lsm_vs_vertical(record_count: int = DEFAULT_RECORDS,
-                        observe: bool = True) -> Series:
+def fig_lsm_vs_vertical(record_count: int = DEFAULT_RECORDS) -> Series:
     """Extension: the comparison the 2001 paper could not run.
 
     The paper's §6 future work asks how bulk deletes fare on storage
@@ -645,6 +591,7 @@ def fig_lsm_vs_vertical(record_count: int = DEFAULT_RECORDS,
     lsm_config = LsmConfig(memtable_entries=max(64, record_count // 64))
 
     def build_lsm(values: List[int]) -> Database:
+        """The heap's rows keyed by A, loaded and measurements zeroed."""
         db = Database(
             page_size=config.page_size, memory_bytes=config.memory_bytes
         )
@@ -674,22 +621,25 @@ def fig_lsm_vs_vertical(record_count: int = DEFAULT_RECORDS,
             "runs": delta.lookup_runs_probed / max(1, delta.lookups),
         }
 
+    heap = build_workload(config)
+    values = list(heap.a_values)
+    lsm = build_lsm(values)
     for pct in series.x_values:
         fraction = pct / 100.0
-        wl = build_workload(config)
-        keys = wl.delete_keys(fraction)
-        values = list(wl.a_values)
+        keys = heap.delete_keys(fraction)
         survivors = [a for a in values if a not in set(keys)]
         sample = survivors[:: max(1, len(survivors) // 64)][:64]
 
         series.rows["bulk (heap)"].append(
-            run_approach("bulk", config, fraction, observe=observe)
+            run_approach(
+                "bulk", config, fraction, workload=heap.fork(), observe=True
+            )
         )
 
         for name, compact in (("lsm write-only", False),
                               ("lsm + FADE", True)):
-            db = build_lsm(values)
-            observer = db.observe() if observe else None
+            db = lsm.fork()
+            db.observe()
             try:
                 before_probe = probe_cost(db, sample)
                 db.clock.reset()
@@ -703,8 +653,7 @@ def fig_lsm_vs_vertical(record_count: int = DEFAULT_RECORDS,
                 stats_delta = tree.stats.delta_since(stats_before)
                 after_probe = probe_cost(db, sample)
             finally:
-                if observer is not None:
-                    db.unobserve()
+                db.unobserve()
             problems = []
             if result.io.writes != stats_delta.page_writes:
                 problems.append(

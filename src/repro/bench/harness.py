@@ -51,7 +51,8 @@ def run_approach(
     """Build (or reuse) the workload and execute one approach.
 
     Every run gets a fresh database unless ``workload`` is supplied —
-    deletes are destructive, so reuse is only safe for a single run.
+    deletes are destructive, so pass a :meth:`Workload.fork` of a
+    template to run several approaches on one build.
 
     With ``observe=True`` an observer is attached for the duration and
     the run's root span lands in :attr:`RunResult.trace` — observation
@@ -143,32 +144,64 @@ class Series:
     def scaled_minutes(self, approach: str) -> List[float]:
         return [r.scaled_minutes for r in self.rows[approach]]
 
-    def sim_seconds(self, approach: str) -> List[float]:
-        return [r.sim_seconds for r in self.rows[approach]]
+
+def _no_options(x: object) -> Optional[BulkDeleteOptions]:
+    return None
+
+
+@dataclass(frozen=True)
+class Row:
+    """One report column of a sweep: an approach on its own database.
+
+    ``make_config`` (and ``make_options``) map the sweep's x value to
+    the database the run deletes from (and the executor knobs it runs
+    with); rows that name equal configs share one template build.
+    """
+
+    approach: str
+    make_config: Callable[[object], WorkloadConfig]
+    make_options: Callable[[object], Optional[BulkDeleteOptions]] = (
+        _no_options
+    )
+    dc_create_method: str = "insert"
 
 
 def sweep(
     title: str,
     x_label: str,
     x_values: Sequence[object],
-    approaches: Sequence[str],
-    make_config: Callable[[object], WorkloadConfig],
+    rows: Dict[str, Row],
     make_fraction: Callable[[object], float],
-    options: Optional[BulkDeleteOptions] = None,
-    observe: bool = False,
 ) -> Series:
-    """Run ``approaches`` over a parameter sweep, fresh DB per point."""
-    series = Series(title=title, x_label=x_label, x_values=list(x_values))
-    for approach in approaches:
-        series.rows[approach] = []
+    """Run every row at every x, each run on a fork of its template.
+
+    Each distinct :class:`WorkloadConfig` is built once per call and
+    every run deletes from its own :meth:`Workload.fork` of it, so a
+    run is billed exactly as on a fresh build.  Runs are observed:
+    their root spans feed :func:`repro.bench.report.operator_breakdown`.
+    """
+    series = Series(
+        title=title, x_label=x_label, x_values=list(x_values),
+        rows={label: [] for label in rows},
+    )
+    templates: List[Workload] = []
     for x in x_values:
-        config = make_config(x)
         fraction = make_fraction(x)
-        for approach in approaches:
-            series.rows[approach].append(
+        for label, row in rows.items():
+            config = row.make_config(x)
+            template = next(
+                (wl for wl in templates if wl.config == config), None
+            )
+            if template is None:
+                template = build_workload(config)
+                templates.append(template)
+            series.rows[label].append(
                 run_approach(
-                    approach, config, fraction,
-                    options=options, observe=observe,
+                    row.approach, config, fraction,
+                    workload=template.fork(),
+                    options=row.make_options(x),
+                    dc_create_method=row.dc_create_method,
+                    observe=True,
                 )
             )
     return series

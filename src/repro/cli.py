@@ -157,8 +157,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print("\nthe vertical plan (cf. the paper's Figure 3):")
     print(render_plan_dag(plan))
     print()
-    bulk = run_approach("bulk", config, 0.15)
-    trad = run_approach("not sorted/trad", config, 0.15)
+    bulk = run_approach("bulk", config, 0.15, workload=workload.fork())
+    trad = run_approach(
+        "not sorted/trad", config, 0.15, workload=workload.fork()
+    )
     print(f"bulk delete:        {bulk.sim_seconds:8.2f}s simulated "
           f"({bulk.scaled_minutes:6.1f} paper-scale minutes)")
     print(f"traditional delete: {trad.sim_seconds:8.2f}s simulated "

@@ -111,6 +111,20 @@ class Workload:
         rng = random.Random(self.config.seed + 1 if seed is None else seed)
         return rng.sample(self.a_values, count)
 
+    def fork(self) -> "Workload":
+        """This workload on a :meth:`Database.fork` of its database.
+
+        A delete on the fork is billed exactly as on a fresh
+        :func:`build_workload` of the same config and leaves this one
+        untouched.  The generator's ground truth is read-only and
+        shared.
+        """
+        return Workload(
+            db=self.db.fork(),
+            config=self.config,
+            column_values=self.column_values,
+        )
+
     def reset_measurements(self) -> None:
         """Flush and zero the clock so setup cost is not measured."""
         self.db.flush()

@@ -202,6 +202,31 @@ def test_exempt_prefix_not_flagged(tmp_path):
     ] == []
 
 
+def test_bench_reading_host_time_is_a_finding(tmp_path):
+    # No package is exempt from wall-clock confinement: the bench
+    # harness reports simulated time only.
+    root = make_pkg(
+        tmp_path,
+        {
+            "bench/timing.py": """
+            import time
+
+            def stopwatch():
+                return time.perf_counter()
+
+            def run():
+                return stopwatch()
+            """,
+        },
+    )
+    report = analyze_effects(root, baseline=())
+    assert [
+        f.node
+        for f in report.findings
+        if f.rule_id == "effect/wall-clock-confinement"
+    ] == ["pkg.bench.timing.stopwatch"]
+
+
 def test_baseline_suppresses_and_reports(tmp_path):
     root = make_pkg(tmp_path, LAUNDERING)
     entry = BaselineEntry(

@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.bench.harness import run_approach, sweep
-from repro.bench.report import format_table, paper_vs_measured, shape_checks
+from repro.bench import harness
+from repro.bench.harness import APPROACHES, Row, Series, run_approach, sweep
+from repro.bench.report import (
+    format_table,
+    operator_breakdown,
+    paper_vs_measured,
+    shape_checks,
+)
+from repro.core.executor import BulkDeleteOptions
 from repro.workload.generator import (
     INT_COLUMNS,
     Workload,
@@ -148,14 +155,77 @@ def test_all_bulk_variants_agree_on_deletions():
     assert len({r.records_deleted for r in results}) == 1
 
 
-def test_sweep_produces_series():
-    series = sweep(
-        "mini", "pct", [5, 10],
-        ["bulk"],
-        make_config=lambda p: WorkloadConfig(record_count=1000),
-        make_fraction=lambda p: p / 100.0,
+def test_sweep_produces_series(monkeypatch):
+    """Each distinct config is built once; every run is on a fork."""
+    builds = []
+
+    def counting_build(config):
+        builds.append(config)
+        return build_workload(config)
+
+    monkeypatch.setattr(harness, "build_workload", counting_build)
+    index_sets = {1: ("A",), 2: ("A", "B")}
+    config = lambda n: WorkloadConfig(  # noqa: E731
+        record_count=800, index_columns=index_sets[n]
     )
-    assert len(series.scaled_minutes("bulk")) == 2
+    series = sweep(
+        "mini", "indexes", [1, 2],
+        rows={
+            "bulk": Row("bulk", config),
+            "trad": Row("not sorted/trad", config),
+        },
+        make_fraction=lambda n: 0.10,
+    )
+    assert builds == [config(1), config(2)]
+    monkeypatch.undo()
+    assert list(series.rows) == ["bulk", "trad"]
+    for label, approach in (("bulk", "bulk"), ("trad", "not sorted/trad")):
+        assert series.scaled_minutes(label) == [
+            run_approach(approach, config(n), 0.10).scaled_minutes
+            for n in (1, 2)
+        ]
+
+
+#: Every approach, plus the two per-row knobs a figure varies.
+FORK_CASES = [(approach, {}) for approach in APPROACHES] + [
+    ("drop&create", {"dc_create_method": "bulk"}),
+    ("bulk", {"options": BulkDeleteOptions(lanes=2)}),
+]
+
+
+@pytest.mark.parametrize(
+    "approach, knobs", FORK_CASES,
+    ids=[f"{a}{'+' if k else ''}{''.join(k)}" for a, k in FORK_CASES],
+)
+def test_a_run_on_a_fork_equals_a_run_on_a_fresh_build(approach, knobs):
+    config = WorkloadConfig(record_count=600, index_columns=("A", "B", "C"))
+    template = build_workload(config)
+    db = template.db
+    clock, disk_stats, pool_stats = (
+        db.clock.now_ms, dict(vars(db.disk.stats)), dict(vars(db.pool.stats))
+    )
+    rows = list(template.fork().db.scan("R"))
+
+    fresh = run_approach(approach, config, 0.15, observe=True, **knobs)
+    forked = run_approach(
+        approach, config, 0.15, workload=template.fork(), observe=True,
+        **knobs,
+    )
+
+    assert forked.records_deleted == fresh.records_deleted > 0
+    # A fork is billed exactly as a fresh build: equality is the claim.
+    assert forked.sim_seconds == fresh.sim_seconds  # lint: allow(float-cost-eq)
+    assert vars(forked.io) == vars(fresh.io)
+    assert forked.extra == fresh.extra
+    breakdown = lambda run: operator_breakdown(  # noqa: E731
+        Series("", "pct", [15], rows={approach: [run]})
+    )
+    assert breakdown(forked) == breakdown(fresh)
+    # The template never saw the delete.
+    assert db.clock.now_ms == clock  # lint: allow(float-cost-eq)
+    assert vars(db.disk.stats) == disk_stats
+    assert vars(db.pool.stats) == pool_stats
+    assert list(db.scan("R")) == rows
 
 
 def test_format_table_renders():
@@ -169,28 +239,9 @@ def test_format_table_renders():
 def test_paper_vs_measured_interleaves():
     series = sweep(
         "mini", "pct", [5],
-        ["bulk"],
-        make_config=lambda p: WorkloadConfig(record_count=1000),
+        rows={"bulk": Row("bulk", lambda p: WorkloadConfig(record_count=1000))},
         make_fraction=lambda p: p / 100.0,
     )
     text = paper_vs_measured(series, {"bulk": [24.9]})
     assert "bulk (paper)" in text and "bulk (ours)" in text
     assert shape_checks(series)
-
-
-def test_scenarios_registry():
-    from repro.workload.scenarios import (
-        build_scenario,
-        scenario,
-        scenario_names,
-    )
-
-    assert "paper-default" in scenario_names()
-    with pytest.raises(KeyError):
-        scenario("nope")
-    wl = build_scenario("clustered", record_count=800)
-    assert wl.db.table("R").index("I_R_A").clustered
-    rows = [v[0] for _, v in wl.db.scan("R")]
-    assert rows == sorted(rows)
-    tall = build_scenario("tall-index", record_count=3000)
-    assert tall.db.table("R").index("I_R_A").tree.height >= 3
