@@ -110,7 +110,7 @@ CODE_RULES: Dict[str, str] = {
     ),
 }
 
-_WALL_CLOCK_CALLS = {
+WALL_CLOCK_CALLS = {
     "time.time", "time.time_ns",
     "time.perf_counter", "time.perf_counter_ns",
     "time.monotonic", "time.monotonic_ns",
@@ -125,7 +125,8 @@ _WALL_CLOCK_NAMES = {
 }
 
 #: module-level functions of ``random`` that use the shared global RNG
-_GLOBAL_RANDOM_FUNCS = {
+#: (also read by the effect lattice's ``rng`` seed)
+GLOBAL_RANDOM_FUNCS = {
     "random", "randint", "randrange", "randbytes", "choice", "choices",
     "shuffle", "sample", "uniform", "triangular", "gauss", "seed",
     "getrandbits", "betavariate", "expovariate", "gammavariate",
@@ -140,7 +141,7 @@ _COMPACTION_ATTRS = {"compact_once", "maybe_compact"}
 
 #: The typed media-error family (repro.errors).  CorruptLogError is
 #: deliberately absent: it is a RecoveryError sibling raised by the WAL.
-_MEDIA_ERROR_NAMES = {
+MEDIA_ERROR_NAMES = {
     "MediaError", "ChecksumMismatch", "TransientReadError",
     "RetriesExhausted", "QuarantinedPage",
 }
@@ -224,7 +225,7 @@ class _Visitor(ast.NodeVisitor):
                     )
         elif node.module == "random":
             for alias in node.names:
-                if alias.name in _GLOBAL_RANDOM_FUNCS:
+                if alias.name in GLOBAL_RANDOM_FUNCS:
                     self.random_aliases.add(alias.asname or alias.name)
                 elif alias.name == "Random":
                     self.random_class_aliases.add(alias.asname or alias.name)
@@ -244,7 +245,7 @@ class _Visitor(ast.NodeVisitor):
         self, node: ast.Call, dotted: Optional[str]
     ) -> None:
         hit = dotted is not None and (
-            dotted in _WALL_CLOCK_CALLS or dotted in self.clock_aliases
+            dotted in WALL_CLOCK_CALLS or dotted in self.clock_aliases
         )
         if hit:
             self._emit(
@@ -260,7 +261,7 @@ class _Visitor(ast.NodeVisitor):
             return
         if (
             dotted.startswith("random.")
-            and dotted.split(".", 1)[1] in _GLOBAL_RANDOM_FUNCS
+            and dotted.split(".", 1)[1] in GLOBAL_RANDOM_FUNCS
         ) or dotted in self.random_aliases:
             self._emit(
                 "code/unseeded-random",
@@ -385,7 +386,7 @@ class _Visitor(ast.NodeVisitor):
         the observer never hears about it.  Crashes are injected by
         arming a :class:`~repro.faults.FaultInjector` with a plan.
 
-        Also flags raising the :data:`_MEDIA_ERROR_NAMES` family
+        Also flags raising the :data:`MEDIA_ERROR_NAMES` family
         outside ``repro/media/`` and ``repro/storage/``: media failures
         originate at the verified read path (or its policy layer) so
         retries, repair, and quarantine apply everywhere uniformly.
@@ -404,7 +405,7 @@ class _Visitor(ast.NodeVisitor):
                 "sweepable and the pool is invalidated consistently",
             )
         if (
-            name in _MEDIA_ERROR_NAMES
+            name in MEDIA_ERROR_NAMES
             and not (self.in_media or self.in_storage)
         ):
             self._emit(

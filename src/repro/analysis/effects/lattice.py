@@ -35,6 +35,11 @@ import ast
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
+from repro.analysis.code_lint import (
+    GLOBAL_RANDOM_FUNCS,
+    MEDIA_ERROR_NAMES,
+    WALL_CLOCK_CALLS,
+)
 from repro.analysis.effects.callgraph import CallGraph, FunctionNode
 
 #: The effect lattice (a powerset; these are its atoms).
@@ -153,28 +158,6 @@ DEFAULT_BARRIERS: Dict[str, FrozenSet[str]] = {
     "lsm.engine.lsm_bulk_delete": frozenset({"lsm.compact"}),
 }
 
-_WALL_CLOCK_CALLS = {
-    "time.time", "time.time_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "time.monotonic", "time.monotonic_ns",
-    "time.process_time", "time.process_time_ns",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-    "datetime.now", "datetime.utcnow", "datetime.today", "date.today",
-}
-
-_GLOBAL_RANDOM_FUNCS = {
-    "random", "randint", "randrange", "randbytes", "choice", "choices",
-    "shuffle", "sample", "uniform", "triangular", "gauss", "seed",
-    "getrandbits",
-}
-
-_MEDIA_ERROR_NAMES = {
-    "MediaError", "ChecksumMismatch", "TransientReadError",
-    "RetriesExhausted", "QuarantinedPage",
-}
-
-
 def _dotted(node: ast.AST) -> Optional[str]:
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -218,11 +201,11 @@ class _IntrinsicVisitor(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted(node.func)
         if dotted is not None:
-            if dotted in _WALL_CLOCK_CALLS:
+            if dotted in WALL_CLOCK_CALLS:
                 self._seed("wall_clock", f"calls {dotted}()")
             if (
                 dotted.startswith("random.")
-                and dotted.split(".", 1)[1] in _GLOBAL_RANDOM_FUNCS
+                and dotted.split(".", 1)[1] in GLOBAL_RANDOM_FUNCS
             ):
                 self._seed("rng", f"calls module-global {dotted}()")
             if (
@@ -241,7 +224,7 @@ class _IntrinsicVisitor(ast.NodeVisitor):
         name = dotted.split(".")[-1] if dotted else None
         if name == "SimulatedCrash":
             self._seed("crash.raise", "raises SimulatedCrash")
-        elif name in _MEDIA_ERROR_NAMES:
+        elif name in MEDIA_ERROR_NAMES:
             self._seed("media_error.raise", f"raises {name}")
         self.generic_visit(node)
 

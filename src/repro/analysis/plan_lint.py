@@ -578,6 +578,25 @@ def _rule_offline(ctx: PlanContext) -> Iterator[Finding]:
             )
 
 
+@plan_rule(
+    "plan/horizontal-needs-index",
+    "a horizontal plan probes a B-tree index on the delete column per "
+    "key; without one the engine cannot run it",
+)
+def _rule_horizontal_index(ctx: PlanContext) -> Iterator[Finding]:
+    plan, table = ctx.plan, ctx.table
+    if table is None or not ctx.is_horizontal or table.indexes_on(plan.column):
+        return
+    yield Finding(
+        "plan/horizontal-needs-index",
+        Severity.ERROR,
+        _step_node(plan.table_step(), plan),
+        f"record-at-a-time delete needs a single-column B-tree index on "
+        f"{plan.table_name}.{plan.column} to find each key's rows; plan "
+        "vertically (a table scan drives the RID list)",
+    )
+
+
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------

@@ -200,6 +200,12 @@ class Node:
         lo, hi = self.key_range(key)
         self.insert_at(bisect_right(self.values, value, lo, hi), key, value)
 
+    def load_columns(self, keys: array[int], values: array[int]) -> None:
+        """Replace the node's contents with two equally long columns
+        (the node keeps them; callers hand over fresh slices)."""
+        self.keys, self.values = keys, values
+        self._entries = None
+
     def insert_at(self, pos: int, key: int, value: int) -> None:
         self.keys.insert(pos, key)
         self.values.insert(pos, value)

@@ -22,7 +22,10 @@ supported by ordering entries on ``(key, value)``.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
+from itertools import compress, count
+from operator import eq, gt
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.btree.node import (
@@ -31,6 +34,7 @@ from repro.btree.node import (
     NO_NODE,
     Node,
     node_capacity,
+    pair_columns,
 )
 from repro.errors import IndexError_, UniqueViolationError
 from repro.storage.buffer import BufferPool
@@ -361,23 +365,28 @@ class BLinkTree:
         entries: Sequence[Entry],
         fill_factor: float = DEFAULT_FILL_FACTOR,
     ) -> None:
-        """Replace the tree's contents from ``(key, value)``-sorted input.
+        """:meth:`bulk_load_columns` from ``(key, value)``-sorted pairs."""
+        self.bulk_load_columns(*pair_columns(entries), fill_factor=fill_factor)
+
+    def bulk_load_columns(
+        self,
+        keys: array[int],
+        values: array[int],
+        fill_factor: float = DEFAULT_FILL_FACTOR,
+    ) -> None:
+        """Replace the tree's contents from ``(key, value)``-sorted
+        columns (two equally long ``array('q')``).
 
         Builds the tree bottom-up with contiguously allocated pages, so
         later leaf sweeps are billed as sequential I/O — the same effect
-        a freshly created index has on a real disk.
+        a freshly created index has on a real disk.  Each leaf takes a
+        slice of the columns; no pair is materialised.
         """
         if not 0.1 <= fill_factor <= 1.0:
             raise ValueError("fill factor must be in [0.1, 1.0]")
-        for i in range(1, len(entries)):
-            if entries[i - 1] > entries[i]:
-                raise IndexError_("bulk_load input must be sorted")
-            if self.unique and entries[i - 1][0] == entries[i][0]:
-                raise UniqueViolationError(
-                    f"duplicate key {entries[i][0]} in unique index {self.name}"
-                )
+        self._check_sorted(keys, values)
         self._drop_all_nodes()
-        if not entries:
+        if not keys:
             root = self._allocate_node(level=0)
             self.root_id = root.page_id
             self.first_leaf_id = root.page_id
@@ -385,19 +394,48 @@ class BLinkTree:
             self._entry_count = 0
             return
         per_leaf = max(2, int(self.leaf_capacity * fill_factor))
-        summaries = self._build_level(list(entries), level=0, per_node=per_leaf)
-        self.first_leaf_id = summaries[0][1]
-        self._entry_count = len(entries)
-        self._build_upper_from(summaries, fill_factor)
+        first_keys, page_ids = self._build_level(
+            keys, values, level=0, per_node=per_leaf
+        )
+        self.first_leaf_id = page_ids[0]
+        self._entry_count = len(keys)
+        self._build_upper_from(first_keys, page_ids, fill_factor)
+
+    def _check_sorted(self, keys: array[int], values: array[int]) -> None:
+        """Raise on the first entry out of ``(key, value)`` order, or on
+        the first duplicate key of a unique tree, whichever comes first."""
+        key_list = keys.tolist()
+        if len(set(key_list)) == len(key_list) and key_list == sorted(key_list):
+            return  # strictly ascending keys: no pair can be out of order
+        following = key_list[1:]
+        first_bad = next(compress(count(1), map(gt, key_list, following)), None)
+        for i in compress(count(1), map(eq, key_list, following)):
+            if first_bad is not None and i > first_bad:
+                break
+            if values[i - 1] > values[i]:
+                first_bad = i
+                break
+            if self.unique:
+                raise UniqueViolationError(
+                    f"duplicate key {keys[i]} in unique index {self.name}"
+                )
+        if first_bad is not None:
+            raise IndexError_("bulk_load input must be sorted")
 
     def _build_level(
-        self, entries: List[Entry], level: int, per_node: int
-    ) -> List[Entry]:
-        """Write one level of nodes; returns ``(first_key, page_id)`` list."""
+        self,
+        keys: array[int],
+        values: array[int],
+        level: int,
+        per_node: int,
+    ) -> Tuple[array[int], array[int]]:
+        """Write one level of nodes; returns their first keys and page
+        ids.  Every node is allocated before any is written."""
         nodes: List[Node] = []
-        for start in range(0, len(entries), per_node):
+        for start in range(0, len(keys), per_node):
             node = self._allocate_node(level)
-            node.entries = entries[start : start + per_node]
+            stop = start + per_node
+            node.load_columns(keys[start:stop], values[start:stop])
             nodes.append(node)
         for i, node in enumerate(nodes):
             if i > 0:
@@ -406,25 +444,31 @@ class BLinkTree:
                 node.right_id = nodes[i + 1].page_id
                 node.high_key = nodes[i + 1].first_key()
             self._write(node)
-        return [(node.first_key(), node.page_id) for node in nodes]
+        return (
+            array("q", [node.keys[0] for node in nodes]),
+            array("q", [node.page_id for node in nodes]),
+        )
 
     def _build_upper_from(
         self,
-        summaries: List[Entry],
+        first_keys: array[int],
+        page_ids: array[int],
         fill_factor: float = DEFAULT_FILL_FACTOR,
         level: int = 1,
     ) -> None:
-        """Build inner levels above ``summaries`` and install the root.
+        """Build inner levels above the nodes of ``level - 1`` (their
+        first keys and page ids) and install the root.
 
-        ``summaries`` describe the nodes of ``level - 1``; the base-node
-        reorganization keeps its level-1 nodes and starts at level 2.
+        The base-node reorganization keeps its level-1 nodes and starts
+        at level 2.
         """
         per_inner = max(2, int(self.inner_capacity * fill_factor))
-        current = summaries
-        while len(current) > 1:
-            current = self._build_level(current, level=level, per_node=per_inner)
+        while len(page_ids) > 1:
+            first_keys, page_ids = self._build_level(
+                first_keys, page_ids, level=level, per_node=per_inner
+            )
             level += 1
-        self.root_id = current[0][1]
+        self.root_id = page_ids[0]
         self.height = self._read(self.root_id).level + 1
 
     def _drop_all_nodes(self) -> None:
@@ -539,7 +583,7 @@ class BLinkTree:
         if not leaf_summaries:
             self._reset_to_empty_leaf()
             return
-        self._build_upper_from(leaf_summaries)
+        self._build_upper_from(*pair_columns(leaf_summaries))
 
     # ------------------------------------------------------------------
     # introspection

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import enum
+import sys
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lsm.tree import LsmTree
@@ -26,6 +28,9 @@ ENGINE_LSM = "lsm"
 #: set is closed: an engine is a storage contract the planner,
 #: observer and static-analysis contracts all know about.
 ENGINE_NAMES: Tuple[str, ...] = (ENGINE_HEAP, ENGINE_LSM)
+
+#: Records are little-endian; ``array`` holds host-order integers.
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class IndexState(enum.Enum):
@@ -65,6 +70,10 @@ class IndexInfo:
     #: non-B-tree indexes).
     kind: str = "btree"
     hash_index: Optional[object] = None  # repro.hashindex.HashIndex
+    #: ``(schema, key positions)`` once :meth:`key_positions` ran.
+    _resolved: Optional[Tuple[TableSchema, Tuple[int, ...]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.columns:
@@ -113,18 +122,27 @@ class IndexInfo:
 
     def key_for(self, values: Tuple[object, ...], schema: TableSchema) -> int:
         """Index key of one record tuple (packed for compound indexes)."""
+        positions = self.key_positions(schema)
         if self.codec is not None:
-            parts = [
-                values[schema.column_index(col)] for col in self.columns
-            ]
-            return self.codec.pack(parts)  # type: ignore[arg-type]
-        attr = schema.attribute(self.column)
-        if attr.data_type is not DataType.INT:
-            raise SchemaError(
-                f"column {self.column} is not INT; only integer columns "
-                "are indexable"
-            )
-        return values[schema.column_index(self.column)]  # type: ignore[return-value]
+            return self.codec.pack([values[p] for p in positions])  # type: ignore[misc]
+        return values[positions[0]]  # type: ignore[return-value]
+
+    def key_positions(self, schema: TableSchema) -> Tuple[int, ...]:
+        """Positions of the key column(s) in ``schema``'s record tuple,
+        resolved on the first call and remembered per schema."""
+        resolved = self._resolved
+        if resolved is not None and resolved[0] is schema:
+            return resolved[1]
+        if self.codec is None:
+            attr = schema.attribute(self.column)
+            if attr.data_type is not DataType.INT:
+                raise SchemaError(
+                    f"column {self.column} is not INT; only integer "
+                    "columns are indexable"
+                )
+        positions = tuple(schema.column_index(col) for col in self.columns)
+        self._resolved = (schema, positions)
+        return positions
 
     def covers_column(self, column: str) -> bool:
         return column in self.columns
@@ -255,6 +273,60 @@ class TableInfo:
                 return ix
         return None
 
+    def index_entries(
+        self, index: IndexInfo
+    ) -> Iterator[Tuple[array[int], array[int]]]:
+        """The heap → ``(key, RID)`` projection every index build reads.
+
+        Walks :meth:`HeapFile.scan_pages` and yields, per heap page in
+        scan order, two ``array('q')`` columns: the page's keys for
+        ``index`` and the packed RIDs they index.  Only the key
+        column(s) are decoded, at byte offsets resolved once; a caller
+        that touches other pages between two pages of the walk (an
+        entry-at-a-time build) sees the heap pinned exactly as a plain
+        scan would pin it.
+        """
+        fields: Optional[List[Tuple[int, int]]] = None
+        for page_id, rows in self.heap.scan_pages():
+            if not rows:
+                continue
+            if fields is None:
+                fields = [
+                    self.serializer.field(position)
+                    for position in index.key_positions(self.schema)
+                ]
+            base = page_id << 16  # RID.pack
+            rids = array("q", [base | slot for slot, _ in rows])
+            columns = [
+                _column_values(rows, offset, length)
+                for offset, length in fields
+            ]
+            if index.codec is None:
+                yield columns[0], rids
+            else:
+                yield array("q", map(index.codec.pack, zip(*columns))), rids
+
+    def index_columns(
+        self, index: IndexInfo
+    ) -> Tuple[array[int], array[int]]:
+        """:meth:`index_entries` gathered and sorted by ``(key, RID)``:
+        the input of a bottom-up build.
+
+        A heap appends pages in allocation order and page ids only
+        grow, so the scan yields RIDs ascending and a stable sort on the
+        key alone leaves ``(key, RID)`` order (the bulk load checks it).
+        """
+        keys, rids = array("q"), array("q")
+        for page_keys, page_rids in self.index_entries(index):
+            keys += page_keys
+            rids += page_rids
+        key_list = keys.tolist()
+        order = sorted(range(len(key_list)), key=key_list.__getitem__)
+        return (
+            array("q", map(key_list.__getitem__, order)),
+            array("q", map(rids.__getitem__, order)),
+        )
+
     def key_of(self, values: Tuple[object, ...], column: str) -> int:
         """Extract an (integer) index key from a record tuple."""
         attr = self.schema.attribute(column)
@@ -264,6 +336,24 @@ class TableInfo:
                 "indexable"
             )
         return values[self.schema.column_index(column)]  # type: ignore[return-value]
+
+
+def _column_values(
+    rows: List[Tuple[int, bytes]], offset: int, length: int
+) -> Union[array[int], List[str]]:
+    """One column of a page's records, decoded from its byte offset:
+    an ``array('q')`` for INT (``length`` 0), else decoded strings as
+    :meth:`RecordSerializer.unpack` returns them."""
+    if not length:
+        column = array("q")
+        column.frombytes(b"".join([p[offset : offset + 8] for _, p in rows]))
+        if _BIG_ENDIAN:
+            column.byteswap()
+        return column
+    return [
+        p[offset : offset + length].rstrip(b"\x00").decode("utf-8")
+        for _, p in rows
+    ]
 
 
 class Catalog:

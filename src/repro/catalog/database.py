@@ -308,20 +308,14 @@ class Database:
             codec=codec,
         )
         if build_method == "insert":
-            for rid, payload in table.heap.scan():
-                values = table.serializer.unpack(payload)
-                self.disk.charge_cpu_records(1, factor=2.0)
-                tree.insert(index.key_for(values, table.schema), rid.pack())
+            for keys, rids in table.index_entries(index):
+                for key, packed_rid in zip(keys, rids):
+                    self.disk.charge_cpu_records(1, factor=2.0)
+                    tree.insert(key, packed_rid)
         else:
-            entries: List[Tuple[int, int]] = []
-            for rid, payload in table.heap.scan():
-                values = table.serializer.unpack(payload)
-                entries.append(
-                    (index.key_for(values, table.schema), rid.pack())
-                )
-            entries.sort()
-            self.disk.charge_cpu_records(len(entries), factor=4.0)  # sort
-            tree.bulk_load(entries)
+            keys, rids = table.index_columns(index)
+            self.disk.charge_cpu_records(len(keys), factor=4.0)  # sort
+            tree.bulk_load_columns(keys, rids)
         table.add_index(index)
         return index
 
@@ -366,10 +360,10 @@ class Database:
             hash_index=hash_index,
             unique=unique,
         )
-        for rid, payload in table.heap.scan():
-            values = table.serializer.unpack(payload)
-            self.disk.charge_cpu_records(1)
-            hash_index.insert(index.key_for(values, table.schema), rid.pack())
+        for keys, rids in table.index_entries(index):
+            for key, packed_rid in zip(keys, rids):
+                self.disk.charge_cpu_records(1)
+                hash_index.insert(key, packed_rid)
         table.add_index(index)
         return index
 
@@ -460,11 +454,9 @@ class Database:
             raise CatalogError(
                 "load_table must run before indexes exist; use insert()"
             )
-        count = 0
-        for values in rows:
-            table.heap.append(table.serializer.pack(values))
-            count += 1
-        return count
+        before = table.heap.record_count
+        table.heap.extend(map(table.serializer.pack, rows))
+        return table.heap.record_count - before
 
     def read(self, table_name: str, rid: RID) -> Tuple[object, ...]:
         table = self.catalog.table(table_name)

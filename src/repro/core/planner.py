@@ -381,7 +381,13 @@ def choose_plan(
     # force_vertical the cheaper horizontal figure is not available,
     # so min() of the two would report a cost no step of this plan
     # can achieve (caught by the estimate-drift self-check).
-    if not force_vertical and horizontal.io_ms < vertical.io_ms:
+    # Horizontal probes an index on the delete column for every key;
+    # without one it is not a candidate.
+    if (
+        not force_vertical
+        and driving is not None
+        and horizontal.io_ms < vertical.io_ms
+    ):
         plan.estimated_ms = horizontal.io_ms
         plan.steps = [
             StepPlan(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
-from repro.btree.node import NO_NODE, Node
+from repro.btree.node import NO_NODE, Node, pair_columns
 from repro.btree.tree import DEFAULT_FILL_FACTOR, BLinkTree
 from repro.core.bulk_ops import (
     BdResult,
@@ -152,4 +152,4 @@ def _rebuild_above_level_one(
         tree.root_id = base_summaries[0][1]
         tree.height = 2
     else:
-        tree._build_upper_from(base_summaries, level=2)
+        tree._build_upper_from(*pair_columns(base_summaries), level=2)

@@ -294,12 +294,9 @@ def _reconcile_table_indexes(db: Database, table_name: str) -> None:
     for ix in table.indexes.values():
         if not ix.is_btree:
             continue
-        entries = sorted(
-            (ix.key_for(values, table.schema), rid.pack())
-            for rid, payload in table.heap.scan()
-            for values in (table.serializer.unpack(payload),)
+        ix.tree.bulk_load_columns(  # type: ignore[union-attr]
+            *table.index_columns(ix)
         )
-        ix.tree.bulk_load(entries)  # type: ignore[union-attr]
 
 
 # ----------------------------------------------------------------------

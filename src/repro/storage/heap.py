@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PageFullError, StorageError
-from repro.storage.buffer import BufferPool
+from repro.storage.buffer import BufferPool, PinnedPage
 from repro.storage.freespace import FreeSpaceMap
 from repro.storage.page_formats import SlottedPage
 from repro.storage.rid import RID
@@ -65,33 +65,67 @@ class HeapFile:
                 self._record_count += 1
                 return RID(target, slot)
             self.fsm.forget(target)
-        return self._append_to_new_or_last(payload)
+        return self.append(payload)
 
     def append(self, payload: bytes) -> RID:
         """Insert at the end of the file (bulk-load path, no FSM lookup)."""
-        return self._append_to_new_or_last(payload)
+        rid = self.extend((payload,))
+        assert rid is not None
+        return rid
 
-    def _append_to_new_or_last(self, payload: bytes) -> RID:
-        if self.page_ids:
-            last = self.page_ids[-1]
-            with self.pool.pin(last) as pinned:
-                page = SlottedPage(pinned.data)
-                if page.can_fit(len(payload)):
-                    slot = page.insert(payload)
-                    pinned.mark_dirty()
-                    self.fsm.record(last, page.free_space())
-                    self._record_count += 1
-                    return RID(last, slot)
-        with self.pool.pin_new(self.file_id) as pinned:
-            page = SlottedPage.format_empty(pinned.data)
-            slot = page.insert(payload)
-            pinned.mark_dirty()
-            page_id = pinned.page_id
-            self.fsm.record(page_id, page.free_space())
-        self.page_ids.append(page_id)
-        self._page_set.add(page_id)
-        self._record_count += 1
-        return RID(page_id, slot)
+    def extend(self, payloads: Iterable[bytes]) -> Optional[RID]:
+        """Append ``payloads`` in order at the end of the file; returns
+        the RID of the last one (``None`` when there was none).
+
+        Pages are filled one pin at a time: the last page takes what
+        fits, then each fresh page (``pin_new``) is filled before the
+        next is allocated, and the free-space map hears about a page
+        once, when it is left.  Pins, allocations and evictions come in
+        the order record-at-a-time appends would take them, so page
+        bytes and disk statistics do not depend on the batch size.
+        """
+        rest = iter(payloads)
+        payload = next(rest, None)
+        rid = None
+        if payload is not None and self.page_ids:
+            with self.pool.pin(self.page_ids[-1]) as pinned:
+                payload, rid = self._fill(pinned, payload, rest, fresh=False)
+        while payload is not None:
+            with self.pool.pin_new(self.file_id) as pinned:
+                SlottedPage.format_empty(pinned.data)
+                payload, rid = self._fill(pinned, payload, rest, fresh=True)
+        return rid
+
+    def _fill(
+        self,
+        pinned: PinnedPage,
+        payload: bytes,
+        rest: Iterator[bytes],
+        fresh: bool,
+    ) -> Tuple[Optional[bytes], Optional[RID]]:
+        """Fill the pinned page with ``payload`` and its successors from
+        ``rest`` (:meth:`SlottedPage.fill`); returns the first payload
+        left over and the RID of the last one placed.
+
+        A fresh page takes its first payload unconditionally, so one
+        that cannot fit an empty page raises :class:`PageFullError`.
+        The bookkeeping runs also when ``rest`` raises part-way.
+        """
+        page = SlottedPage(pinned.data)
+        page_id = pinned.page_id
+        live = page.live_records
+        try:
+            slot, payload = page.fill(payload, rest, force=fresh)
+        finally:
+            placed = page.live_records - live
+            if placed:
+                pinned.mark_dirty()
+                self.fsm.record(page_id, page.free_space())
+                self._record_count += placed
+                if fresh:
+                    self.page_ids.append(page_id)
+                    self._page_set.add(page_id)
+        return payload, None if slot is None else RID(page_id, slot)
 
     def read(self, rid: RID) -> bytes:
         self._check_rid(rid)

@@ -24,7 +24,9 @@ import struct
 import sys
 import zlib
 from array import array
-from typing import Iterable, List, Tuple
+from itertools import compress
+from operator import not_
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import PageFullError, StorageError
 
@@ -193,6 +195,65 @@ class SlottedPage:
             data, self.page_size - SLOT_SIZE * (slot + 1), free_start, size
         )
         return slot
+
+    def fill(
+        self, record: bytes, rest: Iterable[bytes], force: bool = False
+    ) -> Tuple[Optional[int], Optional[bytes]]:
+        """The page-granular form of :meth:`can_fit` + :meth:`insert`
+        that the heap's appends use: insert ``record``, then the records
+        of ``rest`` in order, while each fits with room for a new slot.
+
+        Returns the slot of the last record placed (``None`` if none
+        was) and the first record left over (``None`` once ``rest`` is
+        used up).  With ``force`` the first record skips the
+        :meth:`can_fit` test and only has to fit as :meth:`insert`
+        needs it to, else :class:`PageFullError`.  Records reuse
+        tombstoned slots lowest first.  The header is decoded once and
+        written once, also when ``rest`` raises part-way.
+        """
+        more = iter(rest)
+        if not record:
+            raise StorageError("cannot insert an empty record")
+        data, page_size = self.data, self.page_size
+        slot_count, free_start, live, directory_start = self._header()
+        # Only a page with fewer live records than slots has a dead slot
+        # to find; an append-only page never decodes its directory.  A
+        # header that miscounts finds none and appends, as a scan would.
+        dead: Iterator[int] = iter(())
+        if live != slot_count:
+            lengths = self._flat_directory(slot_count)[-1::-2]
+            dead = compress(range(slot_count), map(not_, lengths))
+        last: Optional[int] = None
+        try:
+            while record is not None:
+                size = len(record)
+                if not force and directory_start - free_start - SLOT_SIZE < size:
+                    break
+                slot = next(dead, slot_count)
+                # A reused slot costs no directory growth.
+                needed = size if slot < slot_count else size + SLOT_SIZE
+                if directory_start - free_start < needed:
+                    raise PageFullError(
+                        f"record of {size} bytes does not fit "
+                        f"({directory_start - free_start} bytes free)"
+                    )
+                data[free_start : free_start + size] = record
+                _SLOT.pack_into(
+                    data, page_size - SLOT_SIZE * (slot + 1), free_start, size
+                )
+                if slot == slot_count:
+                    slot_count += 1
+                    directory_start -= SLOT_SIZE
+                free_start += size
+                live += 1
+                last, force = slot, False
+                record = next(more, None)
+                if record is not None and not record:
+                    raise StorageError("cannot insert an empty record")
+        finally:
+            if last is not None:
+                _HEADER.pack_into(data, 0, slot_count, free_start, live, 0)
+        return last, record
 
     def read(self, slot: int) -> bytes:
         _, offset, length = self._live_slot(slot, self._header()[0])

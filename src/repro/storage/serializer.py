@@ -42,6 +42,12 @@ class RecordSerializer:
         self._char_positions = tuple(
             position for position, _, length in self._columns if length
         )
+        fields: List[Tuple[int, int]] = []
+        offset = 0
+        for _, _, length in self._columns:
+            fields.append((offset, length))
+            offset += length or 8
+        self._fields = tuple(fields)
 
     def __deepcopy__(self, memo: dict) -> "RecordSerializer":
         # Immutable after ``__init__`` (and ``struct.Struct`` cannot be
@@ -51,6 +57,11 @@ class RecordSerializer:
     @property
     def record_size(self) -> int:
         return self._struct.size
+
+    def field(self, position: int) -> Tuple[int, int]:
+        """``(byte offset, CHAR length or 0 for INT)`` of one column in
+        a packed record (the layout has no alignment padding)."""
+        return self._fields[position]
 
     def pack(self, values: Sequence[object]) -> bytes:
         if len(values) != len(self._columns):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.btree.node import MAX_KEY, MIN_KEY, NO_NODE, Node
+from repro.btree.node import MAX_KEY, MIN_KEY, NO_NODE, Node, pair_columns
 from repro.btree.tree import DEFAULT_FILL_FACTOR, BLinkTree
 from repro.core.bulk_ops import BdResult
 from repro.errors import IndexError_
@@ -428,11 +428,13 @@ def _rebuild_above_level_one(
         return
     per_inner = max(2, int(tree.inner_capacity * DEFAULT_FILL_FACTOR))
     level = 2
-    current = base_summaries
-    while len(current) > 1:
-        current = tree._build_level(current, level=level, per_node=per_inner)
+    first_keys, page_ids = pair_columns(base_summaries)
+    while len(page_ids) > 1:
+        first_keys, page_ids = tree._build_level(
+            first_keys, page_ids, level=level, per_node=per_inner
+        )
         level += 1
-    tree.root_id = current[0][1]
+    tree.root_id = page_ids[0]
     tree.height = tree._read(tree.root_id).level + 1
 
 

@@ -227,6 +227,31 @@ def test_bench_reading_host_time_is_a_finding(tmp_path):
     ] == ["pkg.bench.timing.stopwatch"]
 
 
+def test_wrapper_around_expovariate_is_a_finding(tmp_path):
+    # The effect lattice reads the line lint's table of global-RNG
+    # functions, so every one of them seeds ``rng`` behind a wrapper.
+    root = make_pkg(
+        tmp_path,
+        {
+            "workload/arrivals.py": """
+            import random
+
+            def jitter():
+                return random.expovariate(2.0)
+
+            def next_arrival(now):
+                return now + jitter()
+            """,
+        },
+    )
+    report = analyze_effects(root, baseline=())
+    assert [
+        f.node
+        for f in report.findings
+        if f.rule_id == "effect/no-global-rng"
+    ] == ["pkg.workload.arrivals.jitter"]
+
+
 def test_baseline_suppresses_and_reports(tmp_path):
     root = make_pkg(tmp_path, LAUNDERING)
     entry = BaselineEntry(

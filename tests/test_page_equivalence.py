@@ -11,7 +11,8 @@ raises ``StorageError`` where the reference reads from the wrong end of
 the frame) and is pinned in ``tests/test_slotted_page.py``.
 
 Also here, because they are the same claim one layer up: the batch
-verbs equal the per-slot loop, the other byte order decodes the same
+verbs equal the per-slot loop (``fill`` is ``can_fit`` + ``insert``
+per record), the other byte order decodes the same
 directory, ``HeapFile.delete_many_sorted`` still hands the page's
 deletes to the WAL hook before the frame changes, and ``run_get``
 charges the linear-scan position whatever the host does to find a key.
@@ -65,6 +66,12 @@ def verbs(page_size: int) -> st.SearchStrategy[Tuple[Any, ...]]:
             st.sampled_from((0, 0, 0, -1, 1, 7)),
         ),
         st.just(("compact",)),
+        # (records, force): a run of inserts while each fits.
+        st.tuples(
+            st.just("fill"),
+            st.lists(payloads(page_size), min_size=1, max_size=6),
+            st.booleans(),
+        ),
     )
     observe = st.one_of(
         st.tuples(st.just("read"), slots),
@@ -102,12 +109,31 @@ def _apply(page: Any, verb: Tuple[Any, ...], batch: bool) -> Tuple[str, Any]:
         return _outcome(lambda: page.replace(slot, record))
     if name == "read_many" and not batch:
         return _outcome(lambda: [page.read(slot) for slot in args[0]])
+    if name == "fill":
+        records, force = args
+        if batch:
+            return _outcome(lambda: page.fill(records[0], records[1:], force))
+        return _outcome(lambda: _fill_loop(page, records, force))
     if name == "delete_many" and not batch:
         def loop() -> None:
             for slot in args[0]:
                 page.delete(slot)
         return _outcome(loop)
     return _outcome(lambda: getattr(page, name)(*args))
+
+
+def _fill_loop(
+    page: Any, records: List[bytes], force: bool
+) -> Tuple[Any, Any]:
+    """``fill`` spelled as the per-record loop it replaced: ``can_fit``
+    then ``insert`` (a forced first record goes straight to
+    ``insert``); returns the last slot and the first record left."""
+    last = None
+    for i, record in enumerate(records):
+        if not (force and i == 0) and not page.can_fit(len(record)):
+            return last, record
+        last = page.insert(record)
+    return last, None
 
 
 @pytest.mark.parametrize("page_size", PAGE_SIZES)

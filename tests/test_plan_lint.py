@@ -194,6 +194,40 @@ def test_offline_index_is_rejected():
     assert "plan/offline-index" in rule_ids(findings)
 
 
+@pytest.mark.parametrize("memory_kib", [64, 256, 1024])
+def test_no_horizontal_plan_without_an_index_on_the_delete_column(memory_kib):
+    """Two keys against 800 rows favour record-at-a-time, but with no
+    index on A that plan cannot run: the planner plans vertically."""
+    from repro.sql.interpreter import SqlSession
+
+    db = Database(page_size=512, memory_bytes=memory_kib * 1024)
+    session = SqlSession(db)
+    session.execute("CREATE TABLE R (A INT, B INT)")
+    rows = ", ".join(f"({i}, {i * 7 % 800})" for i in range(800))
+    session.execute(f"INSERT INTO R VALUES {rows}")
+    session.execute("CREATE INDEX ib ON R (B)")
+    plan = choose_plan(db, "R", "A", 2)
+    assert not (len(plan.steps) == 1 and plan.steps[0].is_table
+                and plan.steps[0].method is BdMethod.NESTED_LOOPS)
+    result = session.execute("DELETE FROM R WHERE A IN (2, -1)")
+    assert result.affected == 1
+    assert len(session.execute("SELECT * FROM R").rows) == 799
+
+
+def test_horizontal_plan_without_an_index_is_rejected():
+    db = Database(page_size=512, memory_bytes=64 * 1024)
+    populate(db, n=300, indexes=("B",))
+    plan = BulkDeletePlan(
+        table_name="R", column="A", driving_index=None, n_deletes=2,
+        steps=[StepPlan(TABLE_TARGET, BdMethod.NESTED_LOOPS,
+                        BdPredicate.KEY)],
+    )
+    findings = errors(lint_plan(plan, db))
+    assert "plan/horizontal-needs-index" in rule_ids(findings)
+    db.create_index("R", "A")
+    assert "plan/horizontal-needs-index" not in rule_ids(lint_plan(plan, db))
+
+
 def test_missing_table_step():
     db, _ = fresh()
     bad = copy.deepcopy(plan_on_b(db))
