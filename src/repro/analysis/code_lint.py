@@ -154,7 +154,7 @@ _PRAGMA = re.compile(r"#\s*lint:\s*allow\(([^)]*)\)")
 _FILE_PRAGMA = re.compile(r"#\s*lint:\s*allow-file\(([^)]*)\)")
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
+def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else ``None``."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -164,6 +164,54 @@ def _dotted(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+@dataclass
+class ImportAliases:
+    """Names one module binds with ``from time/datetime/random import
+    X [as Y]``, so a bare call through them is recognised too.  Read by
+    this lint and by the effect lattice's intrinsic seeds."""
+
+    #: bare callables that read the host clock (``"dt.now"`` for a
+    #: ``from datetime import datetime as dt``)
+    clock: Set[str] = field(default_factory=set)
+    #: bare names of module-global ``random`` functions
+    random: Set[str] = field(default_factory=set)
+    #: bare names of the ``random.Random`` class
+    random_class: Set[str] = field(default_factory=set)
+
+    @classmethod
+    def of(cls, tree: ast.AST) -> "ImportAliases":
+        aliases = cls()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if node.module == "time" and alias.name in _WALL_CLOCK_NAMES:
+                    aliases.clock.add(bound)
+                elif node.module == "datetime" and alias.name in (
+                    "datetime", "date",
+                ):
+                    aliases.clock.add(bound + ".now")
+                elif node.module == "random":
+                    if alias.name in GLOBAL_RANDOM_FUNCS:
+                        aliases.random.add(bound)
+                    elif alias.name == "Random":
+                        aliases.random_class.add(bound)
+        return aliases
+
+    def reads_clock(self, dotted: str) -> bool:
+        return dotted in WALL_CLOCK_CALLS or dotted in self.clock
+
+    def global_random(self, dotted: str) -> bool:
+        return (
+            dotted.startswith("random.")
+            and dotted.split(".", 1)[1] in GLOBAL_RANDOM_FUNCS
+        ) or dotted in self.random
+
+    def random_class_call(self, dotted: str) -> bool:
+        return dotted == "random.Random" or dotted in self.random_class
 
 
 def _is_cost_expr(node: ast.expr) -> bool:
@@ -193,10 +241,7 @@ class _Visitor(ast.NodeVisitor):
     #: inside repro/lsm/ — the one place compaction internals
     #: (compact_once/maybe_compact) may be called
     in_lsm: bool = False
-    #: names bound by ``from time/datetime/random import X``
-    clock_aliases: Set[str] = field(default_factory=set)
-    random_aliases: Set[str] = field(default_factory=set)
-    random_class_aliases: Set[str] = field(default_factory=set)
+    aliases: ImportAliases = field(default_factory=ImportAliases)
     findings: List[Finding] = field(default_factory=list)
 
     def _emit(self, rule: str, node: ast.AST, label: str, msg: str) -> None:
@@ -211,29 +256,9 @@ class _Visitor(ast.NodeVisitor):
             )
         )
 
-    # -- imports: track aliases so bare calls are caught too ----------
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "time":
-            for alias in node.names:
-                if alias.name in _WALL_CLOCK_NAMES:
-                    self.clock_aliases.add(alias.asname or alias.name)
-        elif node.module == "datetime":
-            for alias in node.names:
-                if alias.name in ("datetime", "date"):
-                    self.clock_aliases.add(
-                        (alias.asname or alias.name) + ".now"
-                    )
-        elif node.module == "random":
-            for alias in node.names:
-                if alias.name in GLOBAL_RANDOM_FUNCS:
-                    self.random_aliases.add(alias.asname or alias.name)
-                elif alias.name == "Random":
-                    self.random_class_aliases.add(alias.asname or alias.name)
-        self.generic_visit(node)
-
     # -- calls --------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         self._check_wall_clock(node, dotted)
         self._check_random(node, dotted)
         self._check_raw_io(node)
@@ -244,10 +269,7 @@ class _Visitor(ast.NodeVisitor):
     def _check_wall_clock(
         self, node: ast.Call, dotted: Optional[str]
     ) -> None:
-        hit = dotted is not None and (
-            dotted in WALL_CLOCK_CALLS or dotted in self.clock_aliases
-        )
-        if hit:
+        if dotted is not None and self.aliases.reads_clock(dotted):
             self._emit(
                 "code/wall-clock",
                 node,
@@ -259,10 +281,7 @@ class _Visitor(ast.NodeVisitor):
     def _check_random(self, node: ast.Call, dotted: Optional[str]) -> None:
         if dotted is None:
             return
-        if (
-            dotted.startswith("random.")
-            and dotted.split(".", 1)[1] in GLOBAL_RANDOM_FUNCS
-        ) or dotted in self.random_aliases:
+        if self.aliases.global_random(dotted):
             self._emit(
                 "code/unseeded-random",
                 node,
@@ -271,10 +290,11 @@ class _Visitor(ast.NodeVisitor):
                 "seeded here; construct random.Random(seed) instead",
             )
             return
-        is_random_ctor = dotted == "random.Random" or (
-            dotted in self.random_class_aliases
-        )
-        if is_random_ctor and not node.args and not node.keywords:
+        if (
+            self.aliases.random_class_call(dotted)
+            and not node.args
+            and not node.keywords
+        ):
             self._emit(
                 "code/unseeded-random",
                 node,
@@ -293,7 +313,7 @@ class _Visitor(ast.NodeVisitor):
             self._emit(
                 "code/raw-page-io",
                 node,
-                _dotted(node.func) or node.func.attr,
+                dotted_name(node.func) or node.func.attr,
                 f".{node.func.attr}() bypasses the BufferPool; outside "
                 "repro/storage/ every page access must be pinned "
                 "through the pool so hits and evictions are accounted",
@@ -309,7 +329,7 @@ class _Visitor(ast.NodeVisitor):
             self._emit(
                 "code/clock-rewind",
                 node,
-                _dotted(node.func) or node.func.attr,
+                dotted_name(node.func) or node.func.attr,
                 ".rewind_to() moves simulated time backwards; only the "
                 "lane scheduler (repro/parallel/) may reposition the "
                 "clock, and only between whole lanes of a region",
@@ -325,7 +345,7 @@ class _Visitor(ast.NodeVisitor):
             self._emit(
                 "code/compaction-outside-lsm",
                 node,
-                _dotted(node.func) or node.func.attr,
+                dotted_name(node.func) or node.func.attr,
                 f".{node.func.attr}() hand-picks LSM runs; outside "
                 "repro/lsm/ trigger compaction through the tree's "
                 "public surface (delete_aware_compactions, "
@@ -371,7 +391,7 @@ class _Visitor(ast.NodeVisitor):
         self._emit(
             "code/adhoc-metrics",
             node,
-            f"{_dotted(target) or target.attr}",
+            f"{dotted_name(target) or target.attr}",
             "mutating another object's .stats bypasses repro.obs; "
             "emit through the observer hooks (db.obs / disk.observer) "
             "so span deltas and metric totals stay reconciled",
@@ -393,7 +413,7 @@ class _Visitor(ast.NodeVisitor):
         """
         exc = node.exc
         target = exc.func if isinstance(exc, ast.Call) else exc
-        dotted = _dotted(target) if target is not None else None
+        dotted = dotted_name(target) if target is not None else None
         name = dotted.split(".")[-1] if dotted is not None else None
         if name == "SimulatedCrash" and not self.in_faults:
             self._emit(
@@ -427,7 +447,7 @@ class _Visitor(ast.NodeVisitor):
                 continue
             if _is_cost_expr(left) or _is_cost_expr(right):
                 names = [
-                    _dotted(side) or type(side).__name__
+                    dotted_name(side) or type(side).__name__
                     for side in (left, right)
                 ]
                 self._emit(
@@ -537,7 +557,7 @@ def lint_source(
     visitor = _Visitor(
         filename=filename, in_storage=in_storage, in_obs=in_obs,
         in_faults=in_faults, in_parallel=in_parallel, in_media=in_media,
-        in_lsm=in_lsm,
+        in_lsm=in_lsm, aliases=ImportAliases.of(tree),
     )
     visitor.visit(tree)
     lines = source.splitlines()

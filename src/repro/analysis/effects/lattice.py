@@ -36,9 +36,9 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.analysis.code_lint import (
-    GLOBAL_RANDOM_FUNCS,
     MEDIA_ERROR_NAMES,
-    WALL_CLOCK_CALLS,
+    ImportAliases,
+    dotted_name,
 )
 from repro.analysis.effects.callgraph import CallGraph, FunctionNode
 
@@ -158,28 +158,25 @@ DEFAULT_BARRIERS: Dict[str, FrozenSet[str]] = {
     "lsm.engine.lsm_bulk_delete": frozenset({"lsm.compact"}),
 }
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 class _IntrinsicVisitor(ast.NodeVisitor):
     """Seed syntactic effects for one function body.
 
     ``module_names`` are the module's top-level bindings: a store into
     one of them (directly under ``global``, or through a subscript /
-    attribute on one) is a ``global.mutate``.
+    attribute on one) is a ``global.mutate``.  ``aliases`` are the
+    module's ``from time/datetime/random import`` names, shared with
+    the line lint.
     """
 
-    def __init__(self, node: FunctionNode, module_names: Set[str]) -> None:
+    def __init__(
+        self,
+        node: FunctionNode,
+        module_names: Set[str],
+        aliases: ImportAliases,
+    ) -> None:
         self.node = node
         self.module_names = module_names
+        self.aliases = aliases
         self.locals: Set[str] = set()
         self.globals_declared: Set[str] = set()
 
@@ -199,17 +196,14 @@ class _IntrinsicVisitor(ast.NodeVisitor):
 
     # -- calls ---------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted is not None:
-            if dotted in WALL_CLOCK_CALLS:
+            if self.aliases.reads_clock(dotted):
                 self._seed("wall_clock", f"calls {dotted}()")
-            if (
-                dotted.startswith("random.")
-                and dotted.split(".", 1)[1] in GLOBAL_RANDOM_FUNCS
-            ):
+            if self.aliases.global_random(dotted):
                 self._seed("rng", f"calls module-global {dotted}()")
             if (
-                dotted == "random.Random"
+                self.aliases.random_class_call(dotted)
                 and not node.args
                 and not node.keywords
             ):
@@ -220,7 +214,7 @@ class _IntrinsicVisitor(ast.NodeVisitor):
     def visit_Raise(self, node: ast.Raise) -> None:
         exc = node.exc
         target = exc.func if isinstance(exc, ast.Call) else exc
-        dotted = _dotted(target) if target is not None else None
+        dotted = dotted_name(target) if target is not None else None
         name = dotted.split(".")[-1] if dotted else None
         if name == "SimulatedCrash":
             self._seed("crash.raise", "raises SimulatedCrash")
@@ -259,7 +253,7 @@ class _IntrinsicVisitor(ast.NodeVisitor):
             self._seed(
                 "metrics.mutate",
                 f"mutates foreign counters "
-                f"{_dotted(target) or target.attr}",
+                f"{dotted_name(target) or target.attr}",
             )
         # module-global mutation
         root = target
@@ -331,6 +325,7 @@ def seed_effects(graph: CallGraph, root: Path) -> None:
         except (OSError, SyntaxError):
             continue
         module_names = set(graph.bindings.get(nodes[0].module, {}))
+        aliases = ImportAliases.of(tree)
         by_line = {n.line: n for n in nodes}
         for fn_ast in ast.walk(tree):
             if not isinstance(
@@ -340,7 +335,7 @@ def seed_effects(graph: CallGraph, root: Path) -> None:
             node = by_line.get(fn_ast.lineno)
             if node is None or node.name != fn_ast.name:
                 continue
-            visitor = _IntrinsicVisitor(node, module_names)
+            visitor = _IntrinsicVisitor(node, module_names, aliases)
             for arg in fn_ast.args.args + fn_ast.args.kwonlyargs:
                 visitor.locals.add(arg.arg)
             for stmt in fn_ast.body:

@@ -22,6 +22,7 @@ supported by ordering entries on ``(key, value)``.
 
 from __future__ import annotations
 
+import copy
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress, count
@@ -69,6 +70,15 @@ class BLinkTree:
         self.first_leaf_id = root.page_id
         self.height = 1
         self._entry_count = 0
+
+    def __deepcopy__(self, memo: dict) -> "BLinkTree":
+        # Everything but the pool is an int, str or bool: the nodes
+        # live in pages, which the pool and disk copies carry.
+        clone = memo[id(self)] = object.__new__(type(self))
+        clone.__dict__.update(
+            self.__dict__, pool=copy.deepcopy(self.pool, memo)
+        )
+        return clone
 
     @staticmethod
     def _clamp_capacity(requested: Optional[int], physical: int) -> int:

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import copy
 import enum
 import sys
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lsm.tree import LsmTree
@@ -31,6 +42,9 @@ ENGINE_NAMES: Tuple[str, ...] = (ENGINE_HEAP, ENGINE_LSM)
 
 #: Records are little-endian; ``array`` holds host-order integers.
 _BIG_ENDIAN = sys.byteorder == "big"
+
+#: Packed records (``(anything, bytes)`` pairs) -> one index's keys.
+KeyProjection = Callable[[Sequence[Tuple[object, bytes]]], "array[int]"]
 
 
 class IndexState(enum.Enum):
@@ -90,6 +104,17 @@ class IndexInfo:
             raise CatalogError("hash indexes need a hash_index")
         if self.kind == "hash" and self.clustered:
             raise CatalogError("hash indexes cannot be clustered")
+
+    def __deepcopy__(self, memo: dict) -> "IndexInfo":
+        # Names, flags, the state enum, the frozen codec and the
+        # resolved (schema, positions) pair are shared.
+        clone = memo[id(self)] = object.__new__(type(self))
+        clone.__dict__.update(
+            self.__dict__,
+            tree=copy.deepcopy(self.tree, memo),
+            hash_index=copy.deepcopy(self.hash_index, memo),
+        )
+        return clone
 
     @property
     def is_compound(self) -> bool:
@@ -191,6 +216,22 @@ class TableInfo:
         #: The INT column LSM rows are keyed by.
         self.lsm_key_column: Optional[str] = None
 
+    def __deepcopy__(self, memo: dict) -> "TableInfo":
+        # The schema, serializer and shard map are immutable: shared.
+        clone = memo[id(self)] = object.__new__(type(self))
+        clone.__dict__.update(
+            self.__dict__,
+            heap=copy.deepcopy(self.heap, memo),
+            indexes={
+                name: copy.deepcopy(index, memo)
+                for name, index in self.indexes.items()
+            },
+            shards=[copy.deepcopy(shard, memo) for shard in self.shards],
+            shard_accesses=dict(self.shard_accesses),
+            lsm=copy.deepcopy(self.lsm, memo),
+        )
+        return clone
+
     @property
     def name(self) -> str:
         return self.schema.name
@@ -286,25 +327,39 @@ class TableInfo:
         entry-at-a-time build) sees the heap pinned exactly as a plain
         scan would pin it.
         """
-        fields: Optional[List[Tuple[int, int]]] = None
+        keys_of: Optional[KeyProjection] = None
         for page_id, rows in self.heap.scan_pages():
             if not rows:
                 continue
-            if fields is None:
-                fields = [
-                    self.serializer.field(position)
-                    for position in index.key_positions(self.schema)
-                ]
+            if keys_of is None:
+                keys_of = self.key_projection(index)
             base = page_id << 16  # RID.pack
             rids = array("q", [base | slot for slot, _ in rows])
+            yield keys_of(rows), rids
+
+    def key_projection(self, index: IndexInfo) -> "KeyProjection":
+        """A function from packed records to ``index``'s keys.
+
+        It takes ``(anything, record bytes)`` pairs (a page's slots, a
+        sweep's RIDs) and returns one ``array('q')`` of keys, decoding
+        only the key column(s) at byte offsets resolved here, once.
+        """
+        fields = [
+            self.serializer.field(position)
+            for position in index.key_positions(self.schema)
+        ]
+        codec = index.codec
+
+        def keys_of(rows: Sequence[Tuple[object, bytes]]) -> array[int]:
             columns = [
                 _column_values(rows, offset, length)
                 for offset, length in fields
             ]
-            if index.codec is None:
-                yield columns[0], rids
-            else:
-                yield array("q", map(index.codec.pack, zip(*columns))), rids
+            if codec is None:
+                return columns[0]  # type: ignore[return-value]
+            return array("q", map(codec.pack, zip(*columns)))
+
+        return keys_of
 
     def index_columns(
         self, index: IndexInfo
@@ -339,7 +394,7 @@ class TableInfo:
 
 
 def _column_values(
-    rows: List[Tuple[int, bytes]], offset: int, length: int
+    rows: Sequence[Tuple[object, bytes]], offset: int, length: int
 ) -> Union[array[int], List[str]]:
     """One column of a page's records, decoded from its byte offset:
     an ``array('q')`` for INT (``length`` 0), else decoded strings as
@@ -361,6 +416,14 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: Dict[str, TableInfo] = {}
+
+    def __deepcopy__(self, memo: dict) -> "Catalog":
+        clone = memo[id(self)] = object.__new__(type(self))
+        clone._tables = {
+            name: copy.deepcopy(table, memo)
+            for name, table in self._tables.items()
+        }
+        return clone
 
     def add_table(self, table: TableInfo) -> None:
         if table.name in self._tables:

@@ -29,6 +29,9 @@ class CompositeKeyCodec:
 
     widths: Tuple[int, ...]
 
+    def __deepcopy__(self, memo: dict) -> "CompositeKeyCodec":
+        return self  # frozen: a fork shares it
+
     def __post_init__(self) -> None:
         if not self.widths:
             raise SchemaError("composite key needs at least one column")

@@ -24,6 +24,9 @@ class Attribute:
     data_type: DataType
     length: int = 0  # byte width for CHAR columns; unused for INT
 
+    def __deepcopy__(self, memo: dict) -> "Attribute":
+        return self  # frozen: a fork shares it
+
     def __post_init__(self) -> None:
         if not self.name:
             raise SchemaError("attribute name must be non-empty")
@@ -47,6 +50,9 @@ class TableSchema:
 
     name: str
     attributes: Tuple[Attribute, ...]
+
+    def __deepcopy__(self, memo: dict) -> "TableSchema":
+        return self  # frozen: a fork shares it
 
     def __post_init__(self) -> None:
         if not self.name:

@@ -17,6 +17,11 @@ An UPDATE that modifies column ``C`` of many records decomposes into:
    the new ones — two sequential leaf passes instead of two random
    root-to-leaf traversals per record.
 
+A unique index on ``C`` is checked before step 2 writes anything
+(paper §2.1: integrity checks run first): the new keys must be
+distinct and must miss every entry the statement keeps, so a violating
+UPDATE raises and leaves the table as it was.
+
 ``traditional_update`` is the horizontal baseline: per record, delete
 the old index entry, rewrite, insert the new entry.
 """
@@ -24,6 +29,7 @@ the old index entry, rewrite, insert the new entry.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -31,7 +37,7 @@ from repro.btree.bulk_insert import BulkInsertResult, bulk_insert_sorted
 from repro.catalog.catalog import IndexInfo, TableInfo
 from repro.catalog.database import Database
 from repro.core.bulk_ops import BdResult, bd_index_sort_merge
-from repro.errors import PlanningError, SchemaError
+from repro.errors import PlanningError, SchemaError, UniqueViolationError
 from repro.query.sort import ExternalSorter
 from repro.storage.disk import DiskStats
 from repro.storage.rid import RID
@@ -111,6 +117,9 @@ def bulk_update(
     old_pairs: List[Tuple[int, int]] = []
     new_pairs: List[Tuple[int, int]] = []
     updates: List[Tuple[RID, bytes]] = []
+    unique = [index for index in affected if index.unique]
+    #: ``(packed RID, new record)`` per rewrite, for the unique check.
+    rewrites: List[Tuple[int, Tuple[object, ...]]] = []
     # One sequential pass computes the rewrites and the index deltas.
     for rid in victims:
         values = table.serializer.unpack(table.heap.read(rid))
@@ -127,6 +136,10 @@ def bulk_update(
         old_pairs.append((values[set_idx], packed))
         new_pairs.append((new_value, packed))
         updates.append((rid, table.serializer.pack(new_values)))
+        if unique:
+            rewrites.append((packed, tuple(new_values)))
+    for index in unique:
+        _require_unique(db, table, index, rewrites)
     table.heap.update_many_sorted(updates)
     db.disk.charge_cpu_records(len(updates))
     result.records_updated = len(updates)
@@ -137,9 +150,12 @@ def bulk_update(
     for index in affected:
         if not index.is_btree:
             # Hash indexes have no order to exploit: maintain them
-            # record-at-a-time, as the paper's prototype did (§5).
-            for (old_key, packed), (new_key, _) in zip(old_pairs, new_pairs):
+            # record-at-a-time, as the paper's prototype did (§5).  All
+            # deletes go first, so a key may move onto one another
+            # rewritten row vacates (what the unique check allowed).
+            for old_key, packed in old_pairs:
                 index.hash_index.delete(old_key, packed)
+            for new_key, packed in new_pairs:
                 index.hash_index.insert(new_key, packed)
             db.disk.charge_cpu_records(len(old_pairs))
             continue
@@ -178,6 +194,56 @@ def bulk_update(
     result.elapsed_ms = db.clock.now_ms - start_ms
     result.io = db.disk.stats.delta_since(io_before)
     return result
+
+
+def _require_unique(
+    db: Database,
+    table: TableInfo,
+    index: IndexInfo,
+    rewrites: Sequence[Tuple[int, Tuple[object, ...]]],
+) -> None:
+    """Raise :class:`UniqueViolationError` if the rewrites would leave
+    two equal keys in the unique ``index`` — before anything is written.
+
+    The new keys must be distinct, and none may equal the key of an
+    entry whose RID the statement does not rewrite.  A B-tree is checked
+    by one pass over the leaves the sorted new keys fall into, charged
+    like the bulk insert that follows; a hash index key by key.
+    """
+    moving = {packed for packed, _ in rewrites}
+    keys = sorted(index.key_for(new, table.schema) for _, new in rewrites)
+    for key, following in zip(keys, keys[1:]):
+        if key == following:
+            raise UniqueViolationError(
+                f"duplicate key {key} in unique index {index.name}"
+            )
+    if not keys:
+        return
+    if not index.is_btree:
+        for key in keys:
+            if set(index.hash_index.search(key)) - moving:  # type: ignore[union-attr]
+                raise UniqueViolationError(
+                    f"duplicate key {key} in unique index {index.name}"
+                )
+        db.disk.charge_cpu_records(len(keys))
+        return
+    i = 0
+    for leaf in index.tree.leaves(keys[0]):  # type: ignore[union-attr]
+        if not leaf.keys:
+            continue
+        # Every key lives in one leaf of a unique tree: the new keys up
+        # to this leaf's last key can meet an entry here or nowhere.
+        stop = bisect_right(keys, leaf.keys[-1], i)
+        db.disk.charge_cpu_records(stop - i + leaf.entry_count)
+        meeting = set(keys[i:stop])
+        for key, value in zip(leaf.keys, leaf.values):
+            if key in meeting and value not in moving:
+                raise UniqueViolationError(
+                    f"duplicate key {key} in unique index {index.name}"
+                )
+        i = stop
+        if i == len(keys):
+            return
 
 
 def _find_victims(

@@ -327,12 +327,13 @@ class RecoverableBulkDelete:
         page, each entry the RID plus that row's key in every index of
         ``indexes`` — what the post-table feeds are re-derived from."""
 
+        projections = [table.key_projection(ix) for ix in indexes]
+
         def log_page(batch: List[Tuple[RID, bytes]]) -> None:
-            entries = []
-            for rid, payload in batch:
-                values = table.serializer.unpack(payload)
-                keys = [ix.key_for(values, table.schema) for ix in indexes]
-                entries.append((rid.pack(), *keys))
+            entries = list(zip(
+                [rid.pack() for rid, _ in batch],
+                *[keys_of(batch) for keys_of in projections],
+            ))
             self.log.append(
                 "heap_deletes", structure="__table__", entries=entries
             )

@@ -23,13 +23,21 @@ Appending is modelled as forced (synchronous) logging: once ``append``
 returns, the record survives any crash.  The log file itself lives
 outside the simulated disk; its (sequential, tiny) I/O is charged as a
 fraction of a page write per record.
+
+A forced record is immutable.  ``append`` takes its own copy of the
+payload's dicts and lists (type-directed, no generic deep copy) and
+shares the immutable leaves: numbers, strings, ``bytes`` page images
+and tuples of them.  The one way a forced record changes is
+:meth:`WriteAheadLog.redact` (retention's erase pass), which puts a new
+record in its place.  A fork of the log therefore shares every record
+object and copies only the list of them.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from itertools import chain
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import CorruptLogError
 from repro.storage.disk import SimulatedDisk
@@ -40,9 +48,44 @@ from repro.storage.disk import SimulatedDisk
 _TORN_KEY = "__torn__"
 
 
+#: Payload leaves stored as they are: immutable values.
+_ATOMS = frozenset({int, float, str, bytes, bool, type(None)})
+_TUPLE = frozenset({tuple})
+
+
+def _atoms_only(items: Iterable[Any]) -> bool:
+    """Whether ``items`` holds only atoms, or only tuples of atoms (a
+    redo record's entries): checked by C-level passes over the types."""
+    kinds = set(map(type, items))
+    if kinds == _TUPLE:
+        kinds = set(map(type, chain.from_iterable(items)))
+    return kinds <= _ATOMS
+
+
+def _owned(value: Any) -> Any:
+    """``value`` with every dict and list copied, so nothing the caller
+    still holds can reach the copy; atoms and tuples of atoms are
+    shared.  Payloads are plain data: any other type is refused."""
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if kind is dict:
+        if _atoms_only(value.values()):
+            return dict(value)
+        return {key: _owned(item) for key, item in value.items()}
+    if kind is list or kind is tuple:
+        if _atoms_only(value):
+            return value if kind is tuple else list(value)
+        return kind(map(_owned, value))
+    raise TypeError(
+        f"a WAL payload holds plain data, not {kind.__name__!r}"
+    )
+
+
 @dataclass(frozen=True)
 class LogRecord:
-    """One durable log entry."""
+    """One durable log entry.  Immutable once forced: nothing assigns
+    into ``payload`` (see :meth:`WriteAheadLog.redact`)."""
 
     lsn: int
     kind: str
@@ -52,6 +95,10 @@ class LogRecord:
     def torn(self) -> bool:
         """True for a partially forced record (restart truncates it)."""
         return bool(self.payload.get(_TORN_KEY))
+
+    def __deepcopy__(self, memo: dict) -> "LogRecord":
+        # Never changed after append: a forked log shares it.
+        return self
 
 
 class WriteAheadLog:
@@ -68,11 +115,12 @@ class WriteAheadLog:
         self.fault_injector: Optional[Any] = None
 
     def append(self, kind: str, **payload: Any) -> int:
-        # The payload is deep-copied: once forced, a record is immutable
-        # even if the caller keeps mutating the dict it logged from
-        # (redo idempotence depends on replaying what was *forced*).
+        # The log owns its copy of the payload: once forced, a record
+        # is immutable even if the caller keeps mutating the lists it
+        # logged from (redo idempotence depends on replaying what was
+        # *forced*).
         lsn = len(self._records) + 1
-        record = LogRecord(lsn, kind, copy.deepcopy(payload))
+        record = LogRecord(lsn, kind, _owned(payload))
         if self.disk is not None:
             self.disk.clock.advance_ms(self.APPEND_COST_MS)
         injector = self.fault_injector
@@ -81,6 +129,23 @@ class WriteAheadLog:
         else:
             injector.on_wal_append(record, self._records.append)
         return lsn
+
+    def redact(self, lsn: int, **changes: Any) -> LogRecord:
+        """Replace record ``lsn`` by a copy whose payload has ``changes``
+        applied, and return it.
+
+        The only way a forced record changes (retention's erase pass
+        strips victim keys and stale page images).  The old record
+        object is left as it was, so a fork that shares it never sees
+        the change.  Uncharged: it models rewriting the log offline.
+        """
+        index = lsn - 1
+        if not 0 <= index < len(self._records):
+            raise KeyError(f"no WAL record with lsn {lsn}")
+        old = self._records[index]
+        record = LogRecord(lsn, old.kind, {**old.payload, **_owned(changes)})
+        self._records[index] = record
+        return record
 
     def records(self, kind: Optional[str] = None) -> Iterator[LogRecord]:
         for record in self._records:

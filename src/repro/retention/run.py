@@ -22,7 +22,7 @@ per-structure progress:
   slack beyond the live entry region is zeroed, LSM trees are fully
   compacted (dropping tombstones and freeing superseded runs),
   materialized spill pages and every freed-but-retained disk page are
-  shredded with zero writes, and the WAL itself is redacted in place —
+  shredded with zero writes, and the WAL itself is redacted —
   logical redo records keep their kind and counts but lose the victim
   keys, and full-page images are replaced with the page's *current*
   durable image (still a valid repair source, no longer a data leak),
@@ -67,7 +67,7 @@ RETENTION_ERASED = "retention_erased"
 RETENTION_END = "retention_end"
 
 #: WAL record kinds whose payloads carry victim keys and are redacted
-#: in place by the erase phase (entries/keys replaced with counts).
+#: by the erase phase (entries/keys replaced with counts).
 _REDACTABLE_ENTRY_KINDS = ("heap_deletes", "leaf_deletes")
 
 
@@ -446,27 +446,36 @@ def erase_traces(
         db.disk.write_page(page_id, zeros)  # lint: allow(raw-page-io)
         report.freed_pages_shredded += 1
 
-    # 6. Redact the WAL in place: logical redo records keep their kind
-    #    and cardinality (recovery of *closed* statements never replays
+    # 6. Redact the WAL: logical redo records keep their kind and
+    #    cardinality (recovery of *closed* statements never replays
     #    them) but lose the victim keys; full-page images are replaced
     #    with the page's current durable image — still a valid repair
     #    source for a future torn write, no longer a record of the
-    #    erased bytes.
+    #    erased bytes.  Each change replaces the record through
+    #    ``log.redact``; forced records are never edited in place.
     for record in log.records():
         payload = record.payload
         if record.kind in _REDACTABLE_ENTRY_KINDS and payload.get("entries"):
-            payload["redacted_entries"] = len(payload["entries"])
-            payload["entries"] = []
+            log.redact(
+                record.lsn,
+                redacted_entries=len(payload["entries"]),
+                entries=[],
+            )
             report.wal_records_redacted += 1
         elif record.kind == RETENTION_BEGIN:
-            for node_payload in payload.get("nodes", []):
-                if node_payload.get("keys"):
-                    node_payload["redacted_keys"] = len(node_payload["keys"])
-                    node_payload["keys"] = []
-                    report.wal_records_redacted += 1
+            nodes = payload.get("nodes", [])
+            keyed = sum(1 for node in nodes if node.get("keys"))
+            if keyed:
+                log.redact(record.lsn, nodes=[
+                    {**node, "redacted_keys": len(node["keys"]), "keys": []}
+                    if node.get("keys") else node
+                    for node in nodes
+                ])
+                report.wal_records_redacted += keyed
         elif record.kind == RETENTION_NULLOUT and payload.get("keys"):
-            payload["redacted_keys"] = len(payload["keys"])
-            payload["keys"] = []
+            log.redact(
+                record.lsn, redacted_keys=len(payload["keys"]), keys=[]
+            )
             report.wal_records_redacted += 1
         elif record.kind == "page_image":
             page_id = payload["page_id"]
@@ -478,7 +487,7 @@ def erase_traces(
             else:
                 image = db.disk.durable_image(page_id)
             if payload["image"] != image:
-                payload["image"] = image
+                log.redact(record.lsn, image=image)
                 report.wal_images_replaced += 1
 
     log.append(

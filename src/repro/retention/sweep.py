@@ -311,7 +311,7 @@ def _plant_wal_image(case: RetentionCase) -> None:
         image = bytearray(record.payload["image"])
         secret = f"S{case.victims[0]}!".encode()
         image[64:64 + len(secret)] = secret
-        record.payload["image"] = bytes(image)
+        case.log.redact(record.lsn, image=bytes(image))
         return
     raise ReproError("scenario produced no page_image records")
 

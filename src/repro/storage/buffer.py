@@ -14,6 +14,7 @@ pages over and over (Experiment 4 in the paper varies exactly this).
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -57,6 +58,12 @@ class _Frame:
         self.data = data
         self.dirty = False
         self.pin_count = 0
+
+    def __deepcopy__(self, memo: dict) -> "_Frame":
+        clone = memo[id(self)] = _Frame(self.page_id, bytearray(self.data))
+        clone.dirty = self.dirty
+        clone.pin_count = self.pin_count
+        return clone
 
 
 class PinnedPage:
@@ -122,6 +129,23 @@ class BufferPool:
         #: read faults and repair-from-image on checksum mismatches.
         #: ``None`` (the default) keeps misses on the plain disk read.
         self.media: Optional[Any] = None
+
+    def __deepcopy__(self, memo: dict) -> "BufferPool":
+        """The fork's copy: every frame with its own buffer, in LRU
+        order; the disk and the hooks through ``memo``."""
+        clone = memo[id(self)] = object.__new__(type(self))
+        clone.__dict__.update(
+            self.__dict__,
+            disk=copy.deepcopy(self.disk, memo),
+            stats=self.stats.snapshot(),
+            _frames=OrderedDict(
+                (page_id, copy.deepcopy(frame, memo))
+                for page_id, frame in self._frames.items()
+            ),
+            page_image_sink=copy.deepcopy(self.page_image_sink, memo),
+            media=copy.deepcopy(self.media, memo),
+        )
+        return clone
 
     @classmethod
     def with_byte_budget(cls, disk: SimulatedDisk, budget_bytes: int) -> "BufferPool":

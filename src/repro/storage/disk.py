@@ -33,7 +33,8 @@ not just on simulated time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import copy
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import (
@@ -70,6 +71,9 @@ class DiskParameters:
     transfer_ms_per_kb: float = 0.5
     near_seek_ms: float = 1.0
 
+    def __deepcopy__(self, memo: dict) -> "DiskParameters":
+        return self  # frozen: a fork shares it
+
     def transfer_ms(self, page_size: int) -> float:
         return self.transfer_ms_per_kb * (page_size / 1024.0)
 
@@ -88,6 +92,11 @@ class SimClock:
 
     def __init__(self) -> None:
         self._now_ms = 0.0
+
+    def __deepcopy__(self, memo: dict) -> "SimClock":
+        clone = memo[id(self)] = SimClock()
+        clone._now_ms = self._now_ms
+        return clone
 
     @property
     def now_ms(self) -> float:
@@ -250,6 +259,31 @@ class SimulatedDisk:
         self._next_file_id = 1
         # (file id, is_write) -> last page id accessed in that stream
         self._last_access: Dict[Tuple[int, bool], int] = {}
+
+    def __deepcopy__(self, memo: dict) -> "SimulatedDisk":
+        """The fork's copy (see :meth:`Database.fork
+        <repro.catalog.database.Database.fork>`): every page image is an
+        immutable ``bytes`` and is shared; the maps and sets around
+        them are copied flat, the clock and hooks through ``memo``."""
+        clone = memo[id(self)] = object.__new__(type(self))
+        clone.__dict__.update(
+            self.__dict__,
+            clock=copy.deepcopy(self.clock, memo),
+            stats=self.stats.snapshot(),
+            observer=copy.deepcopy(self.observer, memo),
+            fault_injector=copy.deepcopy(self.fault_injector, memo),
+            lane_stats={
+                lane: stats.snapshot()
+                for lane, stats in self.lane_stats.items()
+            },
+            checksums=dict(self.checksums),
+            quarantined=set(self.quarantined),
+            _pages=dict(self._pages),
+            _freed_ids=set(self._freed_ids),
+            _file_of_page=dict(self._file_of_page),
+            _last_access=dict(self._last_access),
+        )
+        return clone
 
     # ------------------------------------------------------------------
     # files and allocation

@@ -28,6 +28,14 @@ class FreeSpaceMap:
         #: it gains room); stale entries wait there until they surface.
         self._heaps: Dict[int, List[int]] = {}
 
+    def __deepcopy__(self, memo: dict) -> "FreeSpaceMap":
+        clone = memo[id(self)] = object.__new__(type(self))
+        clone._free = dict(self._free)
+        clone._heaps = {
+            needed: list(heap) for needed, heap in self._heaps.items()
+        }
+        return clone
+
     def record(self, page_id: int, free_bytes: int) -> None:
         before = self._free.get(page_id)
         free = self._free[page_id] = max(0, free_bytes)

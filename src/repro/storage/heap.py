@@ -13,6 +13,7 @@ patterns.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PageFullError, StorageError
@@ -33,6 +34,17 @@ class HeapFile:
         self._page_set: set = set()
         self.fsm = FreeSpaceMap()
         self._record_count = 0
+
+    def __deepcopy__(self, memo: dict) -> "HeapFile":
+        clone = memo[id(self)] = object.__new__(type(self))
+        clone.__dict__.update(
+            self.__dict__,
+            pool=copy.deepcopy(self.pool, memo),
+            page_ids=list(self.page_ids),
+            _page_set=set(self._page_set),
+            fsm=copy.deepcopy(self.fsm, memo),
+        )
+        return clone
 
     # ------------------------------------------------------------------
     # basic record operations

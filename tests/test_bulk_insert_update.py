@@ -10,6 +10,8 @@ from repro.btree.maintenance import validate_tree
 from repro.btree.tree import BLinkTree
 from repro.core.bulk_update import bulk_update, traditional_update
 from repro.errors import PlanningError, SchemaError, UniqueViolationError
+from repro.media.scrub import reconcile_structures
+from repro.sql.interpreter import SqlSession
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from tests.conftest import populate
@@ -204,3 +206,51 @@ def test_bulk_update_argument_validation():
     with pytest.raises(SchemaError):
         bulk_update(db, "R", "B", compute=lambda r: "nope",
                     where=lambda r: True)
+
+
+# ----------------------------------------------------------------------
+# unique indexes: a violating UPDATE fails before it writes anything
+# ----------------------------------------------------------------------
+def unique_session(hash_index=False):
+    db = Database()
+    session = SqlSession(db)
+    session.execute("CREATE TABLE R (A INT, B INT)")
+    if hash_index:
+        db.create_hash_index("R", "A", name="IA", unique=True)
+    else:
+        session.execute("CREATE UNIQUE INDEX IA ON R (A)")
+    for i in range(20):
+        session.execute(f"INSERT INTO R VALUES ({i}, {10 * i})")
+    return db, session
+
+
+def rows(db):
+    return sorted(row for _, row in db.scan("R"))
+
+
+@pytest.mark.parametrize("hash_index", [False, True])
+@pytest.mark.parametrize("statement", [
+    # A new key hits a row the statement does not touch.
+    "UPDATE R SET A = A + 4 WHERE B < 50",
+    # Two rewritten rows would share one key.
+    "UPDATE R SET A = 77 WHERE B < 50",
+])
+def test_a_failing_unique_update_leaves_the_table_as_it_was(
+    statement, hash_index
+):
+    db, session = unique_session(hash_index)
+    before = rows(db)
+    with pytest.raises(UniqueViolationError):
+        session.execute(statement)
+    assert rows(db) == before
+    assert reconcile_structures(db) == []
+
+
+@pytest.mark.parametrize("hash_index", [False, True])
+def test_a_unique_update_may_move_keys_onto_keys_it_vacates(hash_index):
+    # Set semantics, as the SQL standard checks at statement end: every
+    # key shifts onto one that another rewritten row leaves.
+    db, session = unique_session(hash_index)
+    session.execute("UPDATE R SET A = A + 1 WHERE B >= 100")
+    assert [a for a, _ in rows(db)] == list(range(10)) + list(range(11, 21))
+    assert reconcile_structures(db) == []

@@ -252,6 +252,32 @@ def test_wrapper_around_expovariate_is_a_finding(tmp_path):
     ] == ["pkg.workload.arrivals.jitter"]
 
 
+def test_wrapper_around_an_aliased_random_import_is_a_finding(tmp_path):
+    # ``from random import choice as pick`` binds a global-RNG function
+    # under another name; the lattice tracks the alias as the line lint
+    # does (one ImportAliases table for both).
+    root = make_pkg(
+        tmp_path,
+        {
+            "workload/arrivals.py": """
+            from random import choice as pick
+
+            def jitter(xs):
+                return pick(xs)
+
+            def next_arrival(now):
+                return now + jitter([1, 2, 3])
+            """,
+        },
+    )
+    report = analyze_effects(root, baseline=())
+    assert [
+        f.node
+        for f in report.findings
+        if f.rule_id == "effect/no-global-rng"
+    ] == ["pkg.workload.arrivals.jitter"]
+
+
 def test_baseline_suppresses_and_reports(tmp_path):
     root = make_pkg(tmp_path, LAUNDERING)
     entry = BaselineEntry(

@@ -30,14 +30,35 @@ from repro.faults.sweep import (
 from repro.lsm.sweep import LsmSweepScenario
 from repro.media import MediaRecovery
 from repro.obs.observer import observed
-from repro.retention.sweep import RetentionScenario, _JournaledRun
+from repro.recovery.snapshot import capture_metadata
+from repro.retention.run import find_open_retention_run, recover_retention
+from repro.retention.sweep import (
+    RetentionScenario,
+    _JournaledRun,
+    _plant_wal_image,
+)
 from repro.shard.faults import ShardSweepScenario
+
+
+def free_space_answers(db: Database) -> dict:
+    """Each heap's first-fit answer for every size its map was asked
+    about, and for one record: what the next insert would pick."""
+    answers = {}
+    for table in db.catalog.tables():
+        fsm = table.heap.fsm
+        for needed in sorted(
+            set(fsm._heaps) | {table.serializer.record_size + 8}
+        ):
+            answers[table.name, needed] = fsm.find_page_with(needed)
+    return answers
 
 
 def physical(db: Database) -> dict:
     """Everything a statement's simulated cost or result can depend on."""
     disk, pool = db.disk, db.pool
     return {
+        "metadata": capture_metadata(db),
+        "free_space": free_space_answers(db),
         "stats": dict(vars(disk.stats)),
         "clock": db.clock.now_ms,
         "pages": dict(disk._pages),
@@ -193,6 +214,55 @@ def test_writes_stay_on_their_own_side():
         != right.db.disk.durable_image(page_id)
     assert physical(right.db) == right_before
     assert physical(left.db) == left_before
+
+
+def test_heap_and_index_metadata_stay_on_their_own_side():
+    # Deletes open room on early pages, inserts then fill it, append
+    # pages and split leaves: every list, set and first-fit heap a fork
+    # touches must be its own.
+    template = SweepScenario(records=48).build()
+    before = physical(template.db)
+    right = copy.deepcopy(template)
+    left = copy.deepcopy(template)
+    victims = [rid for rid, row in left.db.scan("R") if row[0] % 3 == 0]
+    for rid in victims:
+        left.db.delete_record("R", rid)
+    for k in range(120):
+        left.db.insert("R", (10_000 + k, 20_000 + k, "y"))
+    left.db.flush()
+    assert physical(left.db) != before
+    assert physical(template.db) == before
+    assert physical(right.db) == before
+
+
+def test_redacting_a_fork_of_a_logged_retention_case_leaves_the_template():
+    statement = _JournaledRun(RetentionScenario(seed=3))
+    counter = FaultInjector()
+    statement.issue(statement.build(), counter, None)
+    events = counter.durable_event_count
+    # The template crashes mid-run: its log holds victim keys and
+    # full-page images that an erase pass would redact.
+    template = statement.build()
+    with pytest.raises(SimulatedCrash):
+        statement.issue(
+            template,
+            FaultInjector(FaultPlan(crash_after_event=events // 2)),
+            None,
+        )
+    assert find_open_retention_run(template.log) is not None
+    logged = copy.deepcopy(wal(template))
+    records = list(template.log.records())
+
+    fork = copy.deepcopy(template)
+    report = recover_retention(fork.db, fork.log, full_page_writes=True)
+    assert report.resumed
+    assert report.run.erase.wal_records_redacted > 0
+    assert report.run.erase.wal_images_replaced > 0
+    _plant_wal_image(fork.case)
+
+    assert wal(template) == logged
+    assert list(template.log.records()) == records
+    assert wal(fork)[: len(logged)] != logged
 
 
 @pytest.mark.parametrize("crash_at", [1, 5, 12, 20])

@@ -66,6 +66,18 @@ def test_pairs_alternate_and_report_medians_and_wins(tmp_path):
     assert [c.split()[3] for c in calls] == ["4", "9", "4"]
 
 
+def test_a_repeated_seed_flag_adds_seeds(tmp_path):
+    parent = checkout(tmp_path / "parent", host_s=0.8, sim_ms=500.0)
+    change = checkout(tmp_path / "change", host_s=0.3, sim_ms=500.0)
+    done = host_pairs(
+        parent, change, "--pairs", "3", "--seed", "4", "--seed", "5", "6"
+    )
+    assert done.returncode == 0, done.stderr
+    calls = (parent / "calls.txt").read_text().splitlines()
+    assert [c.split()[3] for c in calls] == ["4", "5", "6"]
+    assert "seeds 4 5 6" in done.stdout
+
+
 def test_a_simulated_difference_at_equal_seed_fails(tmp_path):
     parent = checkout(tmp_path / "parent", host_s=0.8, sim_ms=500.0)
     change = checkout(tmp_path / "change", host_s=0.3, sim_ms=501.0)

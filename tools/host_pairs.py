@@ -10,7 +10,8 @@ first::
         [--pairs N] [--seed S ...]
 
 Every run is ``<command> --workload W --seed S --seconds <run_seconds>
---trace 0`` in that checkout, ``S`` cycling through the given seeds.
+--trace 0`` in that checkout, ``S`` cycling through the given seeds
+(``--seed`` may repeat; its values add up).
 Per end-to-end metric it prints both medians, how many pairs the change
 won (by the metric's ``better`` direction) and each side's relative
 spread (quartile distance over the median) next to the metric's bound;
@@ -79,8 +80,11 @@ def main(argv: List[str]) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, nargs="+", default=[1])
+    # ``extend``: ``--seed 4 5`` and ``--seed 4 --seed 5`` both run
+    # seeds 4 and 5 (a repeated ``nargs`` flag would keep only the last).
+    parser.add_argument("--seed", type=int, nargs="+", action="extend")
     args = parser.parse_args(argv)
+    args.seed = args.seed or [1]
     manifest = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     metrics = manifest["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
