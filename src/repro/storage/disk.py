@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, fields
+from operator import attrgetter, sub
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import (
@@ -149,32 +150,28 @@ class DiskStats:
     io_time_ms: float = 0.0
 
     def snapshot(self) -> "DiskStats":
-        return DiskStats(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
+        return DiskStats(*_declared(self))
 
     def delta_since(self, earlier: "DiskStats") -> "DiskStats":
-        return DiskStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
-        )
+        return DiskStats(*map(sub, _declared(self), _declared(earlier)))
 
     def merge(self, other: "DiskStats") -> "DiskStats":
         """Add ``other``'s counters into this object (in place).
 
-        Snapshot/delta/merge all iterate the *declared* dataclass
-        fields, never ``vars()``: a stray attribute poked onto one
-        instance must not leak into (or crash) an aggregation.  Lane
-        rollups rely on this being a pure field-wise sum — each access
-        is classified and costed exactly once at the device
-        (:meth:`SimulatedDisk._charge`) and tallied identically into
-        the global and the per-lane sinks, so merging lane deltas can
-        never double-count a chained-I/O discount.
+        Snapshot/delta/merge all read the *declared* dataclass fields
+        (their names resolved once, in ``_STATS_FIELDS``), never
+        ``vars()``: a stray attribute poked onto one instance must not
+        leak into (or crash) an aggregation.  Lane rollups rely on this
+        being a pure field-wise sum — each access is classified and
+        costed exactly once at the device (:meth:`SimulatedDisk._charge`)
+        and tallied identically into the global and the per-lane sinks,
+        so merging lane deltas can never double-count a chained-I/O
+        discount.
         """
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name, mine, theirs in zip(
+            _STATS_FIELDS, _declared(self), _declared(other)
+        ):
+            setattr(self, name, mine + theirs)
         return self
 
     @classmethod
@@ -192,6 +189,13 @@ class DiskStats:
     @property
     def total_ios(self) -> int:
         return self.reads + self.writes
+
+
+#: ``DiskStats``' declared field names, in declaration order (the
+#: order its positional constructor takes them).
+_STATS_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(DiskStats))
+#: One C-level read of every declared field, as a tuple.
+_declared = attrgetter(*_STATS_FIELDS)
 
 
 class SimulatedDisk:

@@ -36,6 +36,7 @@ latencies, histograms and percentiles are bit-reproducible.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -164,21 +165,16 @@ class LatencyHistogram:
     def counts(self) -> Dict[float, int]:
         return dict(self._counts)
 
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """A new histogram holding both multisets."""
-        merged = LatencyHistogram()
-        for source in (self._counts, other._counts):
-            for value, n in source.items():
-                merged._counts[value] = merged._counts.get(value, 0) + n
-        return merged
-
     @classmethod
     def merged(
         cls, histograms: Sequence["LatencyHistogram"]
     ) -> "LatencyHistogram":
+        """A new histogram holding every input's multiset (one pass)."""
         out = cls()
+        counts = out._counts
         for hist in histograms:
-            out = out.merge(hist)
+            for value, n in hist._counts.items():
+                counts[value] = counts.get(value, 0) + n
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -658,6 +654,8 @@ class TrafficDriver:
         ahead of later-arriving ops) nor preempts (ops that arrived
         while a slice ran are drained before the next slice) — the
         fair-share behaviour of a real scheduler, deterministically.
+        The sessions wait in a heap keyed on (next arrival, session
+        id), so picking the next op costs O(log sessions).
         """
         db, cfg = self.db, self.config
         obs = db.obs
@@ -678,10 +676,14 @@ class TrafficDriver:
         delete_ready = math.inf
         completed = 0
 
+        # Sessions that still have operations, keyed on (next arrival,
+        # sid): the head is the earliest arrival, the lower sid on a tie.
+        queue = [(s.next_arrival_ms, s.sid, s) for s in sessions]
+        heapq.heapify(queue)
+
         while True:
-            pending = [s for s in sessions if s.remaining > 0]
             delete_active = slices is not None and not slices_done
-            if not pending and not delete_active:
+            if not queue and not delete_active:
                 if self.strategy is not None and slices is None:
                     # Traffic ended before the trigger count: the
                     # delete still runs (uncontended drain).
@@ -689,12 +691,9 @@ class TrafficDriver:
                     delete_ready = clock.now_ms
                     continue
                 break
-            arrived = [
-                s for s in pending if s.next_arrival_ms <= clock.now_ms
-            ]
             sess = (
-                min(arrived, key=lambda s: (s.next_arrival_ms, s.sid))
-                if arrived
+                queue[0][2]
+                if queue and queue[0][0] <= clock.now_ms
                 else None
             )
             if delete_active and (
@@ -706,7 +705,12 @@ class TrafficDriver:
                 )
                 continue
             if sess is not None:
+                heapq.heappop(queue)
                 self._service(sess, obs)
+                if sess.remaining > 0:
+                    heapq.heappush(
+                        queue, (sess.next_arrival_ms, sess.sid, sess)
+                    )
                 completed += 1
                 if (
                     self.strategy is not None
@@ -718,8 +722,7 @@ class TrafficDriver:
                 continue
             # Engine idle (delete inactive or not yet ready): jump to
             # the next arrival.
-            horizon = min(s.next_arrival_ms for s in pending)
-            clock.advance_ms(horizon - clock.now_ms)
+            clock.advance_ms(queue[0][0] - clock.now_ms)
 
         if self.strategy is not None:
             self.result.records_deleted = (
@@ -792,7 +795,7 @@ class TrafficDriver:
         kind, key, values = self._draw_op(sess)
         stall_from, stall_to, stall_kind = self._stall_for(arrival)
         start = clock.now_ms
-        d0 = db.disk.stats.snapshot()
+        io0 = db.disk.stats.io_time_ms
         b0_misses = db.pool.stats.misses
         txn = self.tm.begin()
         try:
@@ -820,7 +823,7 @@ class TrafficDriver:
             start_ms=start,
             end_ms=end,
             stall_kind=stall_kind,
-            io_ms=db.disk.stats.delta_since(d0).io_time_ms,
+            io_ms=db.disk.stats.io_time_ms - io0,
             buffer_misses=db.pool.stats.misses - b0_misses,
         )
         self.result.ops.append(record)

@@ -3,12 +3,15 @@
 # deterministic service times, so both rules are file-allowed:
 # lint: allow-file(raw-page-io, float-cost-eq)
 
+from dataclasses import asdict, fields
+
 import pytest
 
 from repro.errors import StorageError
 from repro.storage.disk import (
     NEAR_SEQUENTIAL_WINDOW,
     DiskParameters,
+    DiskStats,
     SimClock,
     SimulatedDisk,
 )
@@ -158,6 +161,40 @@ def test_stats_snapshot_and_delta(disk):
     delta = disk.stats.delta_since(before)
     assert delta.reads == 1
     assert before.reads == 0  # snapshot is independent
+
+
+def test_stats_aggregation_reads_declared_fields_only():
+    """A stray attribute poked onto one ``DiskStats`` is not copied,
+    subtracted or summed; every declared field is, each by itself."""
+    names = [f.name for f in fields(DiskStats)]
+    later = DiskStats(*range(10, 10 + len(names)))
+    later.io_time_ms = 7.25
+    earlier = DiskStats(*range(1, 1 + len(names)))
+    earlier.io_time_ms = 0.5
+    later.stray = 1000
+    earlier.stray = "not a number"
+
+    copy = later.snapshot()
+    assert asdict(copy) == asdict(later)
+    assert not hasattr(copy, "stray")
+
+    delta = later.delta_since(earlier)
+    assert not hasattr(delta, "stray")
+    for name in names:
+        assert getattr(delta, name) == getattr(later, name) - getattr(
+            earlier, name
+        )
+
+    total = DiskStats()
+    total.merge(later)
+    total.merge(earlier)
+    assert not hasattr(total, "stray")
+    for name in names:
+        assert getattr(total, name) == getattr(later, name) + getattr(
+            earlier, name
+        )
+    # The stray stays where it was poked, unchanged.
+    assert later.stray == 1000 and earlier.stray == "not a number"
 
 
 def test_cpu_charge_advances_clock(disk):

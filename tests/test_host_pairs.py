@@ -20,6 +20,11 @@ with open("calls.txt", "a") as log:
 metrics = {{name: {{"value": 1000.0 + seed, "unit": "u"}} for name in {names!r}}}
 metrics["host_s"]["value"] = {host_s}
 metrics["sim_ms"]["value"] = {sim_ms} + seed
+detail = args[args.index("--detail") + 1]
+with open(detail, "w") as out:
+    json.dump({{"host_samples": {{
+        "delete": [{host_s}, {host_s} / 2], "verify": [0.1, 0.2],
+    }}}}, out)
 print("warming up")
 print(json.dumps({{"correct": True, "attempted": 1, "failed": 0,
                   "metrics": metrics}}))
@@ -59,11 +64,29 @@ def test_pairs_alternate_and_report_medians_and_wins(tmp_path):
     assert "identical in every pair" in out
     calls = (parent / "calls.txt").read_text().splitlines()
     seconds = str(MANIFEST["run_seconds"])
-    assert calls[0].split() == [
+    assert calls[0].split()[:-1] == [
         "--workload", "load_build", "--seed", "4",
-        "--seconds", seconds, "--trace", "0",
+        "--seconds", seconds, "--trace", "0", "--detail",
     ]
     assert [c.split()[3] for c in calls] == ["4", "9", "4"]
+    # The detail record goes outside both checkouts.
+    detail = Path(calls[0].split()[-1])
+    assert tmp_path not in detail.parents
+
+
+def test_per_statement_rows_come_from_the_detail_records(tmp_path):
+    parent = checkout(tmp_path / "parent", host_s=0.8, sim_ms=500.0)
+    change = checkout(tmp_path / "change", host_s=0.3, sim_ms=500.0)
+    done = host_pairs(parent, change, "--pairs", "3")
+    assert done.returncode == 0, done.stderr
+    rows = {
+        line.split()[0]: line.split()[1:]
+        for line in done.stdout.splitlines()
+        if line.startswith(("delete ", "verify "))
+    }
+    # Fastest cycle per run, median over runs, pairs the change won.
+    assert rows["delete"] == ["0.4", "0.15", "-62.5%", "3/3"]
+    assert rows["verify"] == ["0.1", "0.1", "+0.0%", "0/3"]
 
 
 def test_a_repeated_seed_flag_adds_seeds(tmp_path):
@@ -84,6 +107,16 @@ def test_a_simulated_difference_at_equal_seed_fails(tmp_path):
     done = host_pairs(parent, change, "--pairs", "2")
     assert done.returncode == 1
     assert "pair 1 (seed 1): sim_ms 501.0 -> 502.0" in done.stdout
+
+
+def test_a_run_without_a_detail_record_exits_2(tmp_path):
+    parent = checkout(tmp_path / "parent", host_s=0.8, sim_ms=500.0)
+    change = checkout(tmp_path / "change", host_s=0.3, sim_ms=500.0)
+    run = change / "benchmarks" / "suite" / "run.py"
+    run.write_text(run.read_text().replace("open(detail", "open(\"x\""))
+    done = host_pairs(parent, change, "--pairs", "1")
+    assert done.returncode == 2
+    assert "wrote no detail record" in done.stderr
 
 
 def test_a_failing_run_exits_2(tmp_path):

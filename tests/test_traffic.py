@@ -7,10 +7,12 @@ every run reconciles its histograms, spans and ``oltp.*`` metrics with
 no epsilon anywhere.
 """
 
+import dataclasses
+import functools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
@@ -21,6 +23,7 @@ from repro.workload.traffic import (
     STALL_LOCK,
     LatencyHistogram,
     TrafficConfig,
+    TrafficDriver,
     apply_pad_update,
     apply_plain_insert,
     apply_point_read,
@@ -29,6 +32,7 @@ from repro.workload.traffic import (
     run_interference_comparison,
     run_oltp,
 )
+from tests.reference_traffic import ReferenceTrafficDriver
 
 SMALL = dict(record_count=600, index_columns=("A", "B"))
 
@@ -89,6 +93,7 @@ def test_percentile_nearest_rank_exact():
         max_size=8,
     )
 )
+@example([])
 @settings(max_examples=60, deadline=None)
 def test_merged_per_session_histograms_equal_global(sessions):
     """Merging per-session histograms reproduces the global one
@@ -109,6 +114,8 @@ def test_merged_per_session_histograms_equal_global(sessions):
     assert merged.total_ms == global_hist.total_ms  # lint: allow(float-cost-eq)
     for p in (50, 95, 99, 100):
         assert merged.percentile(p) == global_hist.percentile(p)
+    # Merging never mutates its inputs.
+    assert sum(h.count for h in per_session) == global_hist.count
 
 
 @given(
@@ -148,11 +155,13 @@ def test_fixed_seed_fixes_the_entire_timeline():
         assert (
             x.session, x.seq, x.kind, x.key, x.values,
             x.arrival_ms, x.stall_from_ms, x.stall_to_ms,
-            x.start_ms, x.end_ms, x.stall_kind, x.phase,
+            x.start_ms, x.end_ms, x.stall_kind, x.io_ms,
+            x.buffer_misses, x.phase,
         ) == (
             y.session, y.seq, y.kind, y.key, y.values,
             y.arrival_ms, y.stall_from_ms, y.stall_to_ms,
-            y.start_ms, y.end_ms, y.stall_kind, y.phase,
+            y.start_ms, y.end_ms, y.stall_kind, y.io_ms,
+            y.buffer_misses, y.phase,
         )
     assert a.global_hist == b.global_hist
     for p in (50, 95, 99):
@@ -341,3 +350,60 @@ def test_inserts_during_propagation_survive():
             for rid, v in db.scan("R")
         )
         assert sorted(ix.tree.items()) == expected, name
+
+
+# ----------------------------------------------------------------------
+# the heap-ordered queue against the scan loop it replaced
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=1)
+def traffic_template():
+    return small_workload()
+
+
+def timeline(driver_class, config, strategy, chunk_rows):
+    workload = traffic_template().fork()
+    driver = driver_class(
+        workload, config, strategy=make_strategy(strategy, chunk_rows)
+    )
+    result = driver.run()
+    db = workload.db
+    return {
+        "ops": [dataclasses.astuple(op) for op in result.ops],
+        "slices": [dataclasses.astuple(s) for s in result.slices],
+        "per_session": result.per_session,
+        "global": result.global_hist,
+        "records_deleted": result.records_deleted,
+        "delete": (result.delete_submit_ms, result.delete_end_ms),
+        "sums": (
+            result.latency_sum_ordered, result.service_sum_ordered,
+            result.slice_sum_ordered,
+        ),
+        "clock": db.clock.now_ms,
+        "disk": db.disk.stats,
+        "pool": db.pool.stats,
+    }
+
+
+@given(
+    sessions=st.integers(1, 40),
+    ops=st.integers(1, 20),
+    think_ms=st.floats(0.01, 200.0),
+    strategy=st.sampled_from([None, "sidefile", "chunked"]),
+    delete_after=st.one_of(st.none(), st.integers(1, 12)),
+    chunk_rows=st.sampled_from([16, 64]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_heap_queue_replays_the_scan_loop(
+    sessions, ops, think_ms, strategy, delete_after, chunk_rows, seed
+):
+    """Every simulated value of a run — each op's timestamps, stall,
+    I/O and misses, the slices, the histograms, the final clock and
+    disk counters — equals the reference scan loop's, to the bit."""
+    config = TrafficConfig(
+        sessions=sessions, ops_per_session=ops, think_ms=think_ms,
+        delete_after_ops=delete_after, seed=seed,
+    )
+    got = timeline(TrafficDriver, config, strategy, chunk_rows)
+    want = timeline(ReferenceTrafficDriver, config, strategy, chunk_rows)
+    assert got == want

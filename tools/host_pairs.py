@@ -10,13 +10,18 @@ first::
         [--pairs N] [--seed S ...]
 
 Every run is ``<command> --workload W --seed S --seconds <run_seconds>
---trace 0`` in that checkout, ``S`` cycling through the given seeds
-(``--seed`` may repeat; its values add up).
+--trace 0 --detail <tmpfile>`` in that checkout, ``S`` cycling through
+the given seeds (``--seed`` may repeat; its values add up), and the
+detail record goes to a temporary file outside both checkouts.
 Per end-to-end metric it prints both medians, how many pairs the change
 won (by the metric's ``better`` direction) and each side's relative
 spread (quartile distance over the median) next to the metric's bound;
 a host metric whose change won at least 9 pairs in 10 by more than the
 parent's quartile distance in the median is marked ``gain resolved``.
+Then, per measured statement of the workload (from each run's detail
+record), it prints both medians of the statement's fastest-cycle host
+seconds and how many pairs the change won, so a ``host_s`` claim says
+which statement moved.
 Simulated metrics (``sim_*``, ``space_pages``) must be identical within
 every pair; any difference exits 1.  A run that fails exits 2.
 Nothing under either checkout is written.
@@ -29,8 +34,9 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,20 +64,55 @@ def fail(message: str) -> None:
 def run_once(
     checkout: Path, command: List[str], workload: str, seed: int,
     seconds: int,
-) -> Record:
-    """One run of the benchmark command in ``checkout``: its metrics."""
+) -> Tuple[Record, Record]:
+    """One run of the benchmark command in ``checkout``: its metrics,
+    and per statement its fastest cycle's host seconds."""
     argv = [sys.executable if command[0].startswith("python") else command[0]]
     argv += command[1:] + [
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", "0",
     ]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="host_pairs_") as scratch:
+        detail = Path(scratch) / "detail.json"
+        argv += ["--detail", str(detail)]
+        done = subprocess.run(
+            argv, cwd=checkout, capture_output=True, text=True
+        )
+        samples = (
+            json.loads(detail.read_text())["host_samples"]
+            if detail.is_file() else None
+        )
     if done.returncode != 0:
         fail(f"{checkout}: exited {done.returncode}\n{done.stderr[-2000:]}")
     record = json.loads(done.stdout.strip().splitlines()[-1])
     if record.get("failed"):
         fail(f"{checkout}: {record['failed']} failed operation(s)")
-    return {name: m["value"] for name, m in record["metrics"].items()}
+    if samples is None:
+        fail(f"{checkout}: wrote no detail record")
+    return (
+        {name: m["value"] for name, m in record["metrics"].items()},
+        {name: min(cycles) for name, cycles in samples.items()},
+    )
+
+
+def print_statements(
+    parent: List[Record], change: List[Record]
+) -> None:
+    """Per statement: both fastest-cycle medians and the pairs won."""
+    print(
+        f"\n{'statement (fastest cycle, s)':<30} {'parent':>12} "
+        f"{'change':>12} {'delta':>8} {'won':>7}"
+    )
+    for name in parent[0]:
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        won = sum(ci < pi for pi, ci in zip(p, c))
+        mid_p, mid_c = statistics.median(p), statistics.median(c)
+        delta = (mid_c / mid_p - 1.0) * 100.0 if mid_p else 0.0
+        print(
+            f"{name:<30} {mid_p:>12.4g} {mid_c:>12.4g} {delta:>+7.1f}% "
+            f"{won:>3}/{len(p):<3}"
+        )
 
 
 def main(argv: List[str]) -> int:
@@ -89,19 +130,19 @@ def main(argv: List[str]) -> int:
     metrics = manifest["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     runs: Dict[str, List[Record]] = {"parent": [], "change": []}
+    statements: Dict[str, List[Record]] = {"parent": [], "change": []}
     moved: List[str] = []
     for i in range(args.pairs):
         seed = args.seed[i % len(args.seed)]
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {
-            side: run_once(
+        pair: Dict[str, Record] = {}
+        for side in order:
+            pair[side], fastest = run_once(
                 sides[side], manifest["command"], args.workload, seed,
                 manifest["run_seconds"],
             )
-            for side in order
-        }
-        for side in order:
             runs[side].append(pair[side])
+            statements[side].append(fastest)
         moved += [
             f"pair {i + 1} (seed {seed}): {m['name']} "
             f"{pair['parent'][m['name']]} -> {pair['change'][m['name']]}"
@@ -148,6 +189,7 @@ def main(argv: List[str]) -> int:
             f"{won:>3}/{len(parent):<3} {spread_p:>6.1%} / {spread_c:>6.1%} "
             f"{m['bound']:>6.0%}{notes}"
         )
+    print_statements(statements["parent"], statements["change"])
     if moved:
         print("\nsimulated metrics differ at equal seed:")
         for line in moved:
